@@ -167,12 +167,12 @@ fn f13_scenario_pins_the_manifest_constants() {
     );
 }
 
-/// The lossy `parallel_rounds` knob round-trips through the scenario
-/// grammar and compiles; typos are caught by the unknown-field wall;
-/// and the checked-in (knob-free) F13 scenario keeps its canonical
-/// form — and hence its compile-cache hash — unchanged.
+/// The retired lossy `parallel_rounds` knob is an unknown field like
+/// any typo (the region engine's own nodes-per-worker floor decides
+/// execution), and the checked-in F13 scenario never spelled it, so its
+/// canonical form — and hence its compile-cache hash — is unchanged.
 #[test]
-fn lossy_scenario_parallel_rounds_field_validates() {
+fn lossy_scenario_rejects_the_retired_parallel_rounds_field() {
     let base = load_scenario("f13_lossy_network.scenario.json");
     assert!(
         !base.canonical_json().contains("parallel_rounds"),
@@ -189,28 +189,13 @@ fn lossy_scenario_parallel_rounds_field_validates() {
                               "parallel_rounds": {forced}}}
             }}"#
         );
-        let spec = ScenarioSpec::from_json_str(&doc).expect("knobbed lossy spec parses");
-        let WorkloadSpec::Lossy {
-            parallel_rounds, ..
-        } = spec.workload
-        else {
-            panic!("lossy workload expected");
-        };
-        assert_eq!(parallel_rounds, Some(forced));
-        CompiledScenario::compile(&spec).expect("knobbed lossy spec compiles");
+        let err = ScenarioSpec::from_json_str(&doc).expect_err("retired knob rejected");
+        let message = err.to_string();
+        assert!(
+            message.contains("unknown field") && message.contains("parallel_rounds"),
+            "{message}"
+        );
     }
-    // A typo is an unknown field, not a silent default.
-    let err = ScenarioSpec::from_json_str(
-        r#"{
-            "name": "f13-typo",
-            "rounds": 30,
-            "topology": {"kind": "grid", "side": 5, "spacing_m": 30.0},
-            "workload": {"kind": "lossy", "ber": 0.001, "arq_attempts": 4,
-                         "parallel_round": true}
-        }"#,
-    )
-    .expect_err("typoed knob rejected");
-    assert!(err.to_string().contains("unknown field"), "{err}");
 }
 
 /// F15's scenario pins the bench-snapshot churn mix and the

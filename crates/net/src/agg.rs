@@ -1,7 +1,7 @@
 //! The O(N)-per-round aggregated charge kernel for the gathering
 //! simulation.
 //!
-//! [`GatherState::idle_and_send`] walks every packet hop by hop and
+//! `GatherState::idle_and_send` walks every packet hop by hop and
 //! charges budgets as it goes — O(N·avg_hops) pointer-chasing per round,
 //! the super-linearity that makes 100k–1M-node runs intractable
 //! (ROADMAP item 1). This module replaces the mid-round phase with a
@@ -30,19 +30,19 @@
 //!    is discarded untouched and the oracle re-runs it (mid-round
 //!    death makes packet fates order-dependent). Budgets only decrease
 //!    within a round, so all-positive finals prove the serial kernel
-//!    never saw an exhausted hop — the same optimistic argument the
-//!    region-parallel engine in [`crate::pdes`] validates with.
+//!    never saw an exhausted hop.
 //!
 //! Commitment then swaps the scratch finals in, folds the memoized
 //! spent stream in serial charge order, and replays ledger charges and
-//! packet counters per cell — the commit-order contract established by
-//! the PDES engine (ledger and counter *totals* are position-invariant;
-//! per-accumulator sequences are preserved).
+//! packet counters per cell: ledger and counter *totals* are
+//! position-invariant, and every per-accumulator sequence is preserved.
 //!
-//! The hop-walk kernel is retained verbatim as the differential oracle:
-//! `AMBIENCE_AGG=0` (or [`set_aggregated_rounds`]`(Some(false))`) pins
-//! every round to it, and `tests/differential_agg.rs` pins the two
-//! kernels against each other at report, ledger and manifest level.
+//! This is the only gathering round kernel, at every thread count. The
+//! hop-walk kernel is retained verbatim as its fallback and
+//! differential oracle: `AMBIENCE_AGG=0` (or
+//! [`set_aggregated_rounds`]`(Some(false))`) pins every round to it,
+//! and `tests/differential_agg.rs` pins the two kernels against each
+//! other at report, ledger and manifest level.
 
 use crate::gather::GatherState;
 use crate::routing::PackedRoutes;
@@ -77,6 +77,7 @@ pub fn set_aggregated_rounds(enabled: Option<bool>) -> Option<bool> {
 
 /// Whether the aggregated kernel may run rounds on this thread.
 /// Defaults to enabled; `AMBIENCE_AGG=0` disables it process-wide.
+/// Each run reads this once, when it starts.
 pub fn aggregated_rounds_enabled() -> bool {
     if let Some(forced) = AGG_OVERRIDE.with(Cell::get) {
         return forced;
@@ -187,7 +188,7 @@ impl GatherState<'_> {
         scratch: &mut AggScratch,
         recorder: &mut R,
     ) {
-        if aggregated_rounds_enabled() {
+        if self.aggregated {
             if self.try_aggregated_round(scratch, recorder) {
                 note_engaged();
                 return;
@@ -400,10 +401,9 @@ impl GatherState<'_> {
     }
 
     /// Commits a validated aggregated round: budgets, the spent fold,
-    /// the delivered count, then the recorder replay in the fixed
-    /// per-cell order the region-parallel engine established (idle
-    /// charges ascending, then each cell's Tx and RxRelay charges;
-    /// packet counters as whole-round tallies).
+    /// the delivered count, then the recorder replay in a fixed
+    /// per-cell order (idle charges ascending, then each cell's Tx and
+    /// RxRelay charges; packet counters as whole-round tallies).
     fn commit_aggregated<R: Recorder>(
         &mut self,
         scratch: &mut AggScratch,

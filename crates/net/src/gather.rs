@@ -253,13 +253,12 @@ pub(crate) enum PacketFate {
 /// serial charge loops), [`end_round`](Self::end_round) (death sweep)
 /// and [`finish`](Self::finish) (residuals + report).
 ///
-/// [`simulate_gathering_faulted_with`] drives these phases in a plain
-/// loop — that *is* the serial kernel, op for op the historical
-/// implementation. The region-parallel engine in [`crate::pdes`] drives
-/// `begin_round`/`end_round` unchanged and replaces `idle_and_send`
-/// with an optimistic parallel round that falls back to this exact
-/// serial phase whenever its energy-margin validation fails — sharing
-/// the state machine is what keeps the two bit-identical.
+/// [`simulate_gathering_faulted_with`] and [`GatherSession`] drive
+/// these phases in a plain loop with `round_charges` in the middle: the
+/// aggregated kernel of [`crate::agg`], which falls back to
+/// `idle_and_send` — op for op the historical implementation — whenever
+/// its energy-margin validation fails. This is the one gathering
+/// kernel at every thread count.
 pub(crate) struct GatherState<'a> {
     pub(crate) topology: &'a Topology,
     pub(crate) strategy: RoutingStrategy,
@@ -272,6 +271,10 @@ pub(crate) struct GatherState<'a> {
     /// Joules to receive one packet (distance-independent).
     pub(crate) rx_per_hop: f64,
     pub(crate) faults_active: bool,
+    /// Whether rounds try the aggregated kernel first, read once from
+    /// [`aggregated_rounds_enabled`](crate::agg::aggregated_rounds_enabled)
+    /// when the run starts.
+    pub(crate) aggregated: bool,
     pub(crate) timeline: FaultTimeline,
     /// Remaining budget per node, joules (unclamped).
     pub(crate) budget: Vec<f64>,
@@ -323,6 +326,7 @@ impl<'a> GatherState<'a> {
                 .receive_energy(config.packet.total_bits())
                 .as_joules(),
             faults_active: !faults.is_empty(),
+            aggregated: crate::agg::aggregated_rounds_enabled(),
             // The compiled timeline answers per-round down queries in
             // O(1) instead of scanning the event list; its cursor
             // advances with the round loop and allocates nothing.
@@ -345,7 +349,7 @@ impl<'a> GatherState<'a> {
     }
 
     /// Fault-state refresh and (if dirty) route re-resolution — the
-    /// start-of-round phase shared by the serial and parallel kernels.
+    /// start-of-round phase of every gathering round.
     pub(crate) fn begin_round(&mut self, round: u64) {
         if self.faults_active {
             self.timeline.advance_to(round);
@@ -375,8 +379,8 @@ impl<'a> GatherState<'a> {
 
     /// The serial mid-round phase: idle charges, then one report per
     /// live, funded, powered-on node, walked hop by hop with per-hop
-    /// exhaustion checks. This is the pinned oracle the region-parallel
-    /// engine must match bit for bit (and falls back to on rounds its
+    /// exhaustion checks. This is the pinned oracle the aggregated
+    /// kernel must match bit for bit (and falls back to on rounds its
     /// energy-margin validation rejects).
     pub(crate) fn idle_and_send<R: Recorder>(&mut self, recorder: &mut R) {
         // Idle/listening cost for every live, powered-on sensor node.
@@ -450,9 +454,9 @@ impl<'a> GatherState<'a> {
         }
     }
 
-    /// End-of-round sweep shared by both kernels: bury the budget-dead,
-    /// mark the route epoch dirty on any visible transition, and age the
-    /// fault-down state by one round.
+    /// End-of-round sweep of every gathering round: bury the
+    /// budget-dead, mark the route epoch dirty on any visible
+    /// transition, and age the fault-down state by one round.
     pub(crate) fn end_round(&mut self, round: u64) {
         // Bury the budget-dead; the route re-resolution at the top of
         // the next round folds them (and this round's fault-downs) in.

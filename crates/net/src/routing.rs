@@ -81,9 +81,9 @@ fn note_route_repair() {
 /// # Thread safety
 ///
 /// The counter is **thread-local**: builds performed by worker threads
-/// (the region-parallel PDES engine included — its workers replay routing
-/// on the caller's thread, which is why `expt_f15_city_scale` can read
-/// it) are visible only on the thread that performed them. When a test
+/// are visible only on the thread that performed them (every
+/// simulation resolves routes on its calling thread, which is why
+/// `expt_f15_city_scale` can read it). When a test
 /// needs counts attributable to one simulation rather than one thread,
 /// prefer the per-cache [`RouteCache::builds`] / [`RouteCache::repairs`]
 /// accessors, which need no global state at all.
@@ -762,7 +762,7 @@ impl RouteCache {
 
     /// All per-node transmit costs, indexed by raw id — the bulk form
     /// of [`tx_cost`](Self::tx_cost) for kernels that fold charges over
-    /// many nodes per round (the region-parallel replay loops index
+    /// many nodes per round (route packing and the lossy commits index
     /// this slice directly instead of paying a method call per hop).
     pub fn tx_costs(&self) -> &[f64] {
         &self.tx_cost
@@ -798,10 +798,10 @@ impl RouteCache {
 ///
 /// The cache's own `table()` stores `Option<NodeId>` (16 bytes, with a
 /// discriminant test per fetch); packing it once per epoch lets the
-/// aggregation, lossy-ARQ and region-parallel walk loops chase routes
-/// through two flat reads per hop. Values are copied verbatim from the
-/// cache, so every consumer stays bit-identical to the method-call
-/// path.
+/// aggregation and lossy-ARQ walk loops (serial and region-parallel)
+/// chase routes through two flat reads per hop. Values are copied
+/// verbatim from the cache, so every consumer stays bit-identical to
+/// the method-call path.
 #[derive(Debug, Clone)]
 pub(crate) struct PackedRoutes {
     /// Next hop per node; `u32::MAX` = routeless (or the sink).

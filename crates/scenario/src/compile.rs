@@ -42,21 +42,14 @@ use crate::spec::{ScenarioError, ScenarioHash, ScenarioSpec, WorkloadSpec};
 use ami_core::case_studies::cs1::{cs1_energy_ledger, sweep_check_interval, Cs1Config};
 use ami_net::{
     replicate_gathering_faulted_observed_threads, replicate_gathering_observed_threads,
-    simulate_gathering_faulted_observed, simulate_gathering_faulted_observed_par,
-    simulate_lossy_gathering_faulted, simulate_lossy_gathering_faulted_par, LossyConfig,
-    NetworkConfig, Topology,
+    simulate_gathering_faulted_observed, simulate_lossy_gathering_faulted,
+    simulate_lossy_gathering_faulted_par, LossyConfig, NetworkConfig, Topology,
 };
 use ami_radio::StopAndWaitArq;
 use ami_sim::fault::{FaultSchedule, FaultSpec, FaultTimeline};
 use ami_sim::obs::{CounterTree, RunManifest};
 use ami_units::TimeSpan;
 use std::sync::Arc;
-
-/// Node count from which single gathering runs switch to the
-/// region-parallel PDES kernel when more than one worker is available
-/// (bit-identical to the serial kernel by contract — the threshold is a
-/// performance knob, never a results knob).
-pub const PDES_MIN_NODES: usize = 512;
 
 /// An immutable, pre-lowered scenario: everything shareable between
 /// runs, behind one [`Arc`]. See the [module docs](self).
@@ -188,10 +181,16 @@ impl CompiledScenario {
     ///
     /// The manifest embeds the canonical spec and hash, the runner
     /// policy stanza, and the workload's results (ledger, counters,
-    /// headline figures). It is **byte-identical at any `threads`**:
-    /// replications merge in seed order and the PDES kernel is
-    /// bit-identical to the serial one, so thread count is pure
-    /// mechanism.
+    /// headline figures). It is **byte-identical at any `threads`**, so
+    /// thread count is pure mechanism:
+    ///
+    /// * replicated runs spread seeds over `threads` workers and merge
+    ///   in seed order;
+    /// * a single gathering run takes the one serial kernel (aggregated
+    ///   rounds, hop-walk fallback) whatever `threads` is;
+    /// * a single lossy run hands `threads` to the region-parallel lossy
+    ///   engine, which runs serial below its nodes-per-worker floor and
+    ///   is bit-identical to the serial counter-RNG kernel above it.
     ///
     /// # Panics
     ///
@@ -213,24 +212,13 @@ impl CompiledScenario {
                         .expect("validated gathering spec pins a topology");
                     let empty = FaultSchedule::empty();
                     let schedule = self.schedule.as_ref().unwrap_or(&empty);
-                    let (report, obs) = if threads > 1 && topo.len() >= PDES_MIN_NODES {
-                        simulate_gathering_faulted_observed_par(
-                            topo,
-                            strategy,
-                            &self.network,
-                            rounds,
-                            schedule,
-                            threads,
-                        )
-                    } else {
-                        simulate_gathering_faulted_observed(
-                            topo,
-                            strategy,
-                            &self.network,
-                            rounds,
-                            schedule,
-                        )
-                    };
+                    let (report, obs) = simulate_gathering_faulted_observed(
+                        topo,
+                        strategy,
+                        &self.network,
+                        rounds,
+                        schedule,
+                    );
                     manifest
                         .field("delivered_packets", &report.delivered_packets)
                         .field("alive_nodes", &(report.alive_nodes as u64))
@@ -277,9 +265,7 @@ impl CompiledScenario {
                         .counters(&obs.packets.tree())
                 }
             }
-            WorkloadSpec::Lossy {
-                parallel_rounds, ..
-            } => {
+            WorkloadSpec::Lossy { .. } => {
                 let topo = self
                     .topology
                     .as_ref()
@@ -290,16 +276,10 @@ impl CompiledScenario {
                     .expect("lossy workloads compile a LossyConfig");
                 let empty = FaultSchedule::empty();
                 let schedule = self.schedule.as_ref().unwrap_or(&empty);
-                // The spec's knob wins; unset, single runs go parallel
-                // at PDES scale exactly like gathering. Either path is
-                // bit-identical — the counter-RNG kernel's contract —
-                // so this only chooses execution, never results.
-                let use_par = threads > 1
-                    && match parallel_rounds {
-                        Some(parallel) => *parallel,
-                        None => topo.len() >= PDES_MIN_NODES,
-                    };
-                let report = if use_par {
+                // The region engine applies its own nodes-per-worker
+                // floor; either path is bit-identical (the counter-RNG
+                // kernel's contract), so this only chooses execution.
+                let report = if threads > 1 {
                     simulate_lossy_gathering_faulted_par(
                         topo,
                         config,
@@ -442,53 +422,59 @@ mod tests {
         assert_eq!(one, four);
         assert!(one.contains("\"scenario_hash\""));
         assert!(one.contains(&compiled.hash().to_string()));
-    }
 
-    #[test]
-    fn lossy_parallel_rounds_knob_only_moves_execution() {
-        // Whatever the knob says — forced on, forced off, or unset —
-        // the manifest is byte-identical at every worker count: the
-        // PDES lossy engine's contract, surfaced at the scenario layer.
-        // (The 9-node grid sits under the engine's nodes-per-worker
-        // floor, so force-engage it for the `true` runs.)
-        ami_net::set_par_min_nodes_per_worker(Some(0));
-        let docs = [
-            "",
-            r#", "parallel_rounds": true"#,
-            r#", "parallel_rounds": false"#,
-        ];
-        let manifests: Vec<String> = docs
-            .iter()
-            .map(|extra| {
-                let spec = ScenarioSpec::from_json_str(&format!(
-                    r#"{{
-                        "name": "t-lossy",
-                        "rounds": 20,
-                        "topology": {{"kind": "grid", "side": 3, "spacing_m": 30.0}},
-                        "workload": {{"kind": "lossy", "ber": 0.001, "arq_attempts": 4{extra}}}
-                    }}"#
-                ))
-                .unwrap();
-                let compiled = CompiledScenario::compile(&spec).unwrap();
-                let one = compiled.run_threads(1).to_json();
-                let four = compiled.run_threads(4).to_json();
-                assert_eq!(one, four, "thread-variant manifest with {extra:?}");
-                one
+        // Force the region engine's floor to zero, so any run that could
+        // take a region-parallel path does.
+        let floor = ami_net::set_par_min_nodes_per_worker(Some(0));
+        let agg = ami_net::set_aggregated_rounds(Some(true));
+
+        // A faulted 529-node gathering run: every thread count takes
+        // the one serial kernel — one aggregated-or-fallback path per
+        // round, never the region engine.
+        let mut spec = grid_spec(10);
+        spec.topology = Some(TopologySpec::Grid {
+            side: 23,
+            spacing_m: 30.0,
+        });
+        spec.faults = Some("death=0.1,outage=0.2:10,link=0.1:8".to_owned());
+        let compiled = CompiledScenario::compile(&spec).unwrap();
+        let manifests: Vec<String> = [1, 2]
+            .into_iter()
+            .map(|threads| {
+                let par = ami_net::par_engaged_count();
+                let rounds = ami_net::agg_engaged_count() + ami_net::agg_fallback_count();
+                let manifest = compiled.run_threads(threads).to_json();
+                assert_eq!(ami_net::par_engaged_count(), par, "{threads} threads");
+                assert_eq!(
+                    ami_net::agg_engaged_count() + ami_net::agg_fallback_count() - rounds,
+                    spec.rounds,
+                    "{threads} threads"
+                );
+                manifest
             })
             .collect();
-        ami_net::set_par_min_nodes_per_worker(None);
-        // The knob is spelled in the canonical spec (hence the hash and
-        // the manifest header) when set, so strip nothing: compare the
-        // *numbers* by checking the knob-free and knob-forced runs agree
-        // on counters and energy lines.
-        let body = |m: &str| {
-            m.lines()
-                .filter(|l| l.contains("total_energy_j") || l.contains("counters"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(body(&manifests[0]), body(&manifests[1]));
-        assert_eq!(body(&manifests[0]), body(&manifests[2]));
+        assert_eq!(manifests[0], manifests[1]);
+
+        // A lossy run engages the region engine at more than one worker
+        // and still renders the serial manifest byte for byte.
+        let spec = ScenarioSpec::from_json_str(
+            r#"{
+                "name": "t-lossy",
+                "rounds": 20,
+                "topology": {"kind": "grid", "side": 3, "spacing_m": 30.0},
+                "workload": {"kind": "lossy", "ber": 0.001, "arq_attempts": 4}
+            }"#,
+        )
+        .unwrap();
+        let compiled = CompiledScenario::compile(&spec).unwrap();
+        let one = compiled.run_threads(1).to_json();
+        let par = ami_net::par_engaged_count();
+        let four = compiled.run_threads(4).to_json();
+        assert_eq!(ami_net::par_engaged_count(), par + 1);
+        assert_eq!(one, four);
+
+        ami_net::set_aggregated_rounds(agg);
+        ami_net::set_par_min_nodes_per_worker(floor);
     }
 
     #[test]

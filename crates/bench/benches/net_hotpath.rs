@@ -7,10 +7,10 @@
 use ami_bench::BENCH_SEED;
 use ami_net::{
     build_routes, replicate_gathering_faulted_observed_threads, set_par_min_nodes_per_worker,
-    simulate_gathering, simulate_lossy_gathering, simulate_lossy_gathering_par, LossyConfig,
-    NetworkConfig, RoutingStrategy, Topology,
+    simulate_gathering, simulate_lossy_gathering, simulate_lossy_gathering_faulted_par,
+    LossyConfig, NetworkConfig, RoutingStrategy, Topology,
 };
-use ami_sim::fault::FaultSpec;
+use ami_sim::fault::{FaultSchedule, FaultSpec};
 use ami_units::Length;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -82,13 +82,12 @@ fn bench_lossy_round(c: &mut Criterion) {
     group.finish();
 }
 
-/// The rollback-free region-parallel lossy engine on the same ARQ
-/// workload — mirrors the snapshot's `lossy_round_par` city rows at
-/// criterion scale. Worker counts are explicit (1 = engine bookkeeping
-/// overhead vs the serial `lossy_round` group, 8 = the parallel win on
-/// a multi-core box). The criterion sizes sit below the engine's
-/// nodes-per-worker floor, so the group force-engages it — the point is
-/// to time the engine, not the dispatch heuristic.
+/// The lossy kernel on more than one region, on the same ARQ workload —
+/// mirrors the snapshot's `lossy_round_par` city rows at criterion
+/// scale. Worker counts are explicit (1 = one region, the same work as
+/// the `lossy_round` group; 8 = the parallel win on a multi-core box). The criterion sizes sit below the nodes-per-worker
+/// floor, so the group force-engages regions — the point is to time
+/// them, not the dispatch heuristic.
 fn bench_lossy_round_par(c: &mut Criterion) {
     let config = LossyConfig::bruised_channel();
     let par_floor = set_par_min_nodes_per_worker(Some(0));
@@ -101,11 +100,12 @@ fn bench_lossy_round_par(c: &mut Criterion) {
                 &topo,
                 |b, topo| {
                     b.iter(|| {
-                        simulate_lossy_gathering_par(
+                        simulate_lossy_gathering_faulted_par(
                             black_box(topo),
                             &config,
                             LOSSY_ROUNDS,
                             BENCH_SEED,
+                            &FaultSchedule::empty(),
                             threads,
                         )
                     })

@@ -27,15 +27,15 @@
 //! [`LossySession`]): the warm-up iteration performs the route build
 //! and sizes the scratch, so the timed iterations isolate per-round
 //! kernel cost from the build (which `route_build` prices separately).
-//! `lossy_round_par` repeats the city-scale lossy runs on the
-//! rollback-free region-parallel lossy engine at `AMBIENCE_THREADS`
-//! workers and carries `threads`/`cpus` fields plus a `speedup` field
-//! (serial mean / parallel mean — expect >1× on a multi-core box; when
-//! `cpus` is 1 the row times engine overhead on a single core, so
-//! `speedup` is advisory and CI treats it that way). The row
-//! force-engages the engine past the small-n serial fallback — the
-//! snapshot times the engine, not the dispatch heuristic. Gathering has
-//! no `_par` row: it runs one serial kernel at every thread count.
+//! `lossy_round_par` repeats the city-scale lossy runs with the same
+//! lossy kernel on `AMBIENCE_THREADS` regions and workers and carries
+//! `threads`/`cpus` fields plus a `speedup` field (one-region mean /
+//! many-region mean — expect >1× on a multi-core box; when `cpus` is 1
+//! the row times region overhead on a single core, so `speedup` is
+//! advisory and CI treats it that way). The row force-engages regions
+//! past the small-n one-region fallback — the snapshot times the
+//! regions, not the dispatch heuristic. Gathering has no `_par` row: it
+//! runs one serial kernel at every thread count.
 //!
 //! `BENCH_SIM.json` (schema `ambience-bench-sim/v1`) — the `ami-sim`
 //! kernel and sweep layer (labels mirrored by the `sim_hotpath`
@@ -66,10 +66,10 @@ use ami_core::design_space::explore_cs1;
 use ami_experiments::banner;
 use ami_net::{
     build_routes, replicate_gathering_faulted_observed_threads, set_par_min_nodes_per_worker,
-    simulate_gathering, simulate_lossy_gathering, simulate_lossy_gathering_par, GatherSession,
-    LossyConfig, LossySession, NetworkConfig, RoutingStrategy, Topology,
+    simulate_gathering, simulate_lossy_gathering, simulate_lossy_gathering_faulted_par,
+    GatherSession, LossyConfig, LossySession, NetworkConfig, RoutingStrategy, Topology,
 };
-use ami_sim::fault::FaultSpec;
+use ami_sim::fault::{FaultSchedule, FaultSpec};
 use ami_sim::{replicate_par, sim_rng, EnergyMeter, EventQueue};
 use ami_tech::{TechnologyNode, VariationModel};
 use ami_units::{Area, Length, Power, Temperature, TimeSpan};
@@ -253,9 +253,9 @@ fn run_net_snapshot(quick: bool) -> Vec<Entry> {
         ));
     }
 
-    // The city-scale `_par` rows must time the region-parallel engine
-    // itself: at n = 10 000 the nodes-per-worker floor would route
-    // an 8-worker run back to the serial kernel, turning `speedup`
+    // The city-scale `_par` rows must time the lossy kernel on more
+    // than one region: at n = 10 000 the nodes-per-worker floor would
+    // route an 8-worker run back to one region, turning `speedup`
     // into a measurement of the dispatch heuristic. Results are
     // bit-identical either way, so engagement is purely a timing
     // concern. (Thread-local: restored before returning.)
@@ -315,11 +315,12 @@ fn run_net_snapshot(quick: bool) -> Vec<Entry> {
             LOSSY_ROUNDS_LARGE,
             quick,
             || {
-                black_box(simulate_lossy_gathering_par(
+                black_box(simulate_lossy_gathering_faulted_par(
                     black_box(&topo),
                     &lossy_config,
                     LOSSY_ROUNDS_LARGE,
                     SEED,
+                    &FaultSchedule::empty(),
                     threads,
                 ));
             },

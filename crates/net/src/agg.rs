@@ -70,7 +70,7 @@ thread_local! {
 /// (`Some(false)` pins every round to the hop-walk oracle, `Some(true)`
 /// force-enables, `None` defers to the environment). Returns the
 /// previous override, mirroring
-/// [`crate::pdes::set_par_min_nodes_per_worker`].
+/// [`crate::lossy::set_par_min_nodes_per_worker`].
 pub fn set_aggregated_rounds(enabled: Option<bool>) -> Option<bool> {
     AGG_OVERRIDE.with(|c| c.replace(enabled))
 }

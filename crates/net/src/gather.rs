@@ -134,7 +134,7 @@ impl NetworkReport {
 }
 
 /// Runs `rounds` reporting rounds of `topology` under `strategy`,
-/// recording nothing. See [`simulate_gathering_with`].
+/// recording nothing. See [`simulate_gathering_faulted_with`].
 ///
 /// # Panics
 ///
@@ -145,7 +145,7 @@ pub fn simulate_gathering(
     config: &NetworkConfig,
     rounds: u64,
 ) -> NetworkReport {
-    simulate_gathering_with(topology, strategy, config, rounds, &mut NullRecorder)
+    simulate_gathering_faulted(topology, strategy, config, rounds, &FaultSchedule::empty())
 }
 
 /// [`simulate_gathering`] with a [`LedgerRecorder`] attached: returns
@@ -161,9 +161,7 @@ pub fn simulate_gathering_observed(
     config: &NetworkConfig,
     rounds: u64,
 ) -> (NetworkReport, LedgerRecorder) {
-    let mut recorder = LedgerRecorder::with_nodes(topology.len());
-    let report = simulate_gathering_with(topology, strategy, config, rounds, &mut recorder);
-    (report, recorder)
+    simulate_gathering_faulted_observed(topology, strategy, config, rounds, &FaultSchedule::empty())
 }
 
 /// [`simulate_gathering`] under an exogenous [`FaultSchedule`],
@@ -208,37 +206,6 @@ pub fn simulate_gathering_faulted_observed(
     (report, recorder)
 }
 
-/// Runs `rounds` reporting rounds of `topology` under `strategy`,
-/// charging every event through `recorder`.
-///
-/// Routes are rebuilt over the surviving nodes whenever a node dies.
-/// A node participates (sends, relays) only while its budget is
-/// positive: exhaustion stops it at the very next hop, so a depleted
-/// relay cannot keep forwarding traffic for free until the end-of-round
-/// death sweep. Packets that abort on an exhausted hop count as
-/// `dropped_dead_hop`; packets generated with no route to the sink
-/// count as `dropped_disconnected`.
-///
-/// # Panics
-///
-/// Panics if `rounds` is zero.
-pub fn simulate_gathering_with<R: Recorder>(
-    topology: &Topology,
-    strategy: RoutingStrategy,
-    config: &NetworkConfig,
-    rounds: u64,
-    recorder: &mut R,
-) -> NetworkReport {
-    simulate_gathering_faulted_with(
-        topology,
-        strategy,
-        config,
-        rounds,
-        &FaultSchedule::empty(),
-        recorder,
-    )
-}
-
 /// How one packet's trip through the route table ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum PacketFate {
@@ -253,11 +220,11 @@ pub(crate) enum PacketFate {
 /// serial charge loops), [`end_round`](Self::end_round) (death sweep)
 /// and [`finish`](Self::finish) (residuals + report).
 ///
-/// [`simulate_gathering_faulted_with`] and [`GatherSession`] drive
-/// these phases in a plain loop with `round_charges` in the middle: the
-/// aggregated kernel of [`crate::agg`], which falls back to
-/// `idle_and_send` — op for op the historical implementation — whenever
-/// its energy-margin validation fails. This is the one gathering
+/// [`GatherSession`] drives these phases in a plain loop with
+/// `round_charges` in the middle: the aggregated kernel of
+/// [`crate::agg`], which falls back to `idle_and_send` — op for op the
+/// historical implementation — whenever its energy-margin validation
+/// fails. This is the one gathering
 /// kernel at every thread count.
 pub(crate) struct GatherState<'a> {
     pub(crate) topology: &'a Topology,
@@ -299,6 +266,7 @@ impl<'a> GatherState<'a> {
         strategy: RoutingStrategy,
         config: &'a NetworkConfig,
         faults: &FaultSchedule,
+        cache: RouteCache,
     ) -> Self {
         let n = topology.len();
         let sink = topology.sink();
@@ -336,7 +304,7 @@ impl<'a> GatherState<'a> {
             down_now: vec![false; n],
             down_prev: vec![false; n],
             usable: vec![true; n],
-            cache: RouteCache::new(n),
+            cache,
             // Usable-set epoch: routes re-resolve only on rounds where a
             // death or a fault transition actually changed what routing
             // can see. Starts dirty so the first round performs the
@@ -508,10 +476,18 @@ impl<'a> GatherState<'a> {
 
 /// Runs `rounds` reporting rounds of `topology` under `strategy` and
 /// the exogenous `faults` schedule, charging every event through
-/// `recorder`.
+/// `recorder` — a [`GatherSession`] used once.
+///
+/// Routes are rebuilt over the surviving nodes whenever a node dies.
+/// A node participates (sends, relays) only while its budget is
+/// positive: exhaustion stops it at the very next hop, so a depleted
+/// relay cannot keep forwarding traffic for free until the end-of-round
+/// death sweep. Packets that abort on an exhausted hop count as
+/// `dropped_dead_hop`; packets generated with no route to the sink
+/// count as `dropped_disconnected`.
 ///
 /// Fault semantics, chosen so the empty schedule degenerates bit-exactly
-/// to [`simulate_gathering_with`]:
+/// to the unfaulted run:
 ///
 /// * a fault-downed node (death or mid-outage) is powered off: no idle
 ///   charge, no report, no relaying; its remaining budget survives a
@@ -538,29 +514,39 @@ pub fn simulate_gathering_faulted_with<R: Recorder>(
     faults: &FaultSchedule,
     recorder: &mut R,
 ) -> NetworkReport {
-    assert!(rounds > 0, "simulate at least one round");
-    // All scratch lives in the state and the aggregation scratch and is
-    // reused across rounds — the round loop stays allocation-steady.
-    let mut state = GatherState::new(topology, strategy, config, faults);
-    let mut scratch = AggScratch::new(topology.len());
-    for round in 0..rounds {
-        state.begin_round(round);
-        state.round_charges(&mut scratch, recorder);
-        state.end_round(round);
-    }
-    state.finish(rounds, recorder)
+    GatherSession::new(topology, strategy, config).run_faulted_with(rounds, faults, recorder)
+}
+
+/// [`simulate_gathering_faulted_observed`] under its former
+/// region-parallel name. Gathering has one kernel at every thread
+/// count, so this checks `threads` and delegates; it is kept only for
+/// the `benchmark/` replay harness, which imports it.
+///
+/// # Panics
+///
+/// Panics if `rounds` or `threads` is zero.
+pub fn simulate_gathering_faulted_observed_par(
+    topology: &Topology,
+    strategy: RoutingStrategy,
+    config: &NetworkConfig,
+    rounds: u64,
+    faults: &FaultSchedule,
+    threads: usize,
+) -> (NetworkReport, LedgerRecorder) {
+    assert!(threads > 0, "at least one worker thread");
+    simulate_gathering_faulted_observed(topology, strategy, config, rounds, faults)
 }
 
 /// A reusable gathering harness: routes are resolved once and kept warm
 /// across runs, together with the aggregated kernel's scratch (packed
 /// route arrays and, on fault-free epochs, the memoized charge stream).
 ///
-/// [`simulate_gathering`] pays one route build per call; a session pays
-/// it once and then measures what city-scale studies actually repeat —
-/// marginal rounds. Results are bit-identical to the one-shot entry
-/// points: the session drives the same round phases over the same
-/// cache, it just keeps the cache (and its route epoch counters) alive
-/// between runs.
+/// The one-shot entry points are a session used once, so they pay one
+/// route build per call; a kept session pays it once and then measures
+/// what city-scale studies actually repeat — marginal rounds. Results
+/// are bit-identical either way: the same round loop runs over the same
+/// cache, which a kept session just keeps alive (with its route epoch
+/// counters) between runs.
 pub struct GatherSession<'a> {
     topology: &'a Topology,
     strategy: RoutingStrategy,
@@ -609,11 +595,11 @@ impl<'a> GatherSession<'a> {
         recorder: &mut R,
     ) -> NetworkReport {
         assert!(rounds > 0, "simulate at least one round");
-        let mut state = GatherState::new(self.topology, self.strategy, self.config, faults);
         // Adopt the session's warm cache; `begin_round`'s `ensure` call
         // no-ops when the usable set still matches what it was built
         // over, which is what amortizes the build across runs.
-        state.cache = std::mem::replace(&mut self.cache, RouteCache::new(0));
+        let cache = std::mem::replace(&mut self.cache, RouteCache::new(0));
+        let mut state = GatherState::new(self.topology, self.strategy, self.config, faults, cache);
         // The warm cache keeps the route-epoch counter alive across
         // runs, but this run's fault schedule may differ from the one
         // the scratch memoized under at the same epoch — drop the
@@ -857,6 +843,19 @@ mod tests {
         let round = report.first_death_round.expect("must die");
         let lifetime = report.lifetime(config.report_interval).unwrap();
         assert!((lifetime.as_minutes() - round as f64).abs() < 1e-9);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one worker")]
+    fn zero_threads_rejected() {
+        let _ = simulate_gathering_faulted_observed_par(
+            &small_grid(),
+            RoutingStrategy::MinimumEnergy,
+            &NetworkConfig::sensor_default(),
+            1,
+            &FaultSchedule::empty(),
+            0,
+        );
     }
 
     #[test]

@@ -20,14 +20,19 @@
 //!   link outages, capacity fade); routing re-resolves around downed
 //!   nodes and fault losses are attributed to the `dropped_fault`
 //!   counter cause;
-//! * [`pdes`] — region-parallel execution of single lossy runs:
-//!   [`pdes::simulate_lossy_gathering_par`] (rollback-free — the lossy
-//!   kernel draws per-packet counter randomness via
-//!   [`ami_sim::rng::packet_rng`], so packets commute), bit-identical to
-//!   the serial kernel at any thread count, with a serial fallback below
-//!   a nodes-per-worker floor. Gathering runs take the one serial
-//!   kernel (aggregated rounds, hop-walk fallback) at every thread
-//!   count.
+//! * [`simulate_lossy_gathering`] — gathering over lossy links with
+//!   stop-and-wait ARQ (experiment F13). One round kernel serves every
+//!   thread count: regions of the node id space walk their sources on
+//!   worker threads and one commit folds them in ascending id order, so
+//!   results are bit-identical on 1..N regions. Packets commute because
+//!   each draws its own counter stream ([`ami_sim::rng::packet_rng`])
+//!   and the model has no energy budgets, so no rollback is needed;
+//!   [`simulate_lossy_gathering_faulted_par`] falls back to one region
+//!   below a nodes-per-worker floor, where the barrier cannot pay.
+//!   Gathering runs take the one serial kernel (aggregated rounds,
+//!   hop-walk fallback) at every thread count;
+//! * [`GatherSession`] and [`LossySession`] — keep routes warm across
+//!   runs; every one-shot entry point is a session used once.
 //!
 //! # Example
 //!
@@ -48,7 +53,6 @@ pub mod cluster;
 pub mod csr;
 pub mod gather;
 pub mod lossy;
-pub mod pdes;
 pub mod replicate;
 pub mod routing;
 pub mod topology;
@@ -62,21 +66,15 @@ pub use cluster::{simulate_clustered, ClusterConfig, ClusterReport};
 pub use csr::{CsrAdjacency, RegionPartition};
 pub use gather::{
     simulate_gathering, simulate_gathering_faulted, simulate_gathering_faulted_observed,
-    simulate_gathering_faulted_with, simulate_gathering_observed, simulate_gathering_with,
-    GatherSession, NetworkConfig, NetworkReport,
+    simulate_gathering_faulted_observed_par, simulate_gathering_faulted_with,
+    simulate_gathering_observed, GatherSession, NetworkConfig, NetworkReport,
 };
 pub use lossy::{
-    simulate_lossy_gathering, simulate_lossy_gathering_faulted,
-    simulate_lossy_gathering_faulted_observed, simulate_lossy_gathering_faulted_with,
-    simulate_lossy_gathering_observed, simulate_lossy_gathering_seqstream, LossyConfig,
-    LossyReport, LossySession,
-};
-pub use pdes::{
     par_engaged_count, par_min_nodes_per_worker, par_serial_fallback_count,
-    reset_par_engagement_counters, set_par_min_nodes_per_worker,
-    simulate_gathering_faulted_observed_par, simulate_lossy_gathering_faulted_observed_par,
-    simulate_lossy_gathering_faulted_par, simulate_lossy_gathering_faulted_par_with,
-    simulate_lossy_gathering_par, PAR_MIN_NODES_PER_WORKER,
+    reset_par_engagement_counters, set_par_min_nodes_per_worker, simulate_lossy_gathering,
+    simulate_lossy_gathering_faulted, simulate_lossy_gathering_faulted_observed,
+    simulate_lossy_gathering_faulted_par, simulate_lossy_gathering_faulted_with, LossyConfig,
+    LossyReport, LossySession, PAR_MIN_NODES_PER_WORKER,
 };
 pub use replicate::{
     replicate_gathering, replicate_gathering_faulted_observed,

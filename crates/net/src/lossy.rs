@@ -15,7 +15,7 @@
 //! faulted run's channel draws stay aligned with the unfaulted run at
 //! the same seed on every packet a fault does not touch.
 //!
-//! # The counter-RNG discipline (why lossy rounds parallelize)
+//! # One kernel on 1..N regions
 //!
 //! Channel randomness is *addressable*, not sequential: every offered
 //! packet owns an independent counter-based stream keyed by
@@ -24,40 +24,60 @@
 //! the packet, never a position in some global sequence. A packet's
 //! fate is therefore a pure function of round-constant state (the route
 //! table, fault windows) and its own key, independent of when or where
-//! any *other* packet executes. That is the property the region-parallel
-//! engine in [`pdes`](crate::pdes) exploits: sources execute
-//! region-parallel, and the commit replays counters and energy in fixed
-//! ascending-id order — bit-identical to this serial kernel at any
-//! thread count (no rollback machinery is needed, because unlike the
-//! budgeted perfect-link kernel there is no cross-packet coupling:
-//! links are lossy but energy is not finite in this model).
+//! any *other* packet executes.
 //!
-//! The float discipline backing that equality: each packet accumulates
-//! its energy in a private subtotal, and subtotals fold into the run
-//! total in source-ascending order; per-node ledger charges are
-//! committed once per round per `(node, category)` from integer attempt
-//! counts times the (round-constant) per-attempt cost.
+//! The round body exploits that once, for every thread count: the node
+//! id space is cut into contiguous regions
+//! ([`RegionPartition`], by the same spatial grid the CSR construction
+//! buckets with), each region walks its own sources into a private
+//! tally on an [`ami_sim::runner::RoundPool`] worker, and one commit
+//! folds the tallies in ascending region order — which for contiguous
+//! id regions is ascending source id. A serial run is the same kernel
+//! with one region: `RoundPool::scoped(1)` spawns nothing and runs the
+//! walk inline on the caller. Results are bit-identical at any region
+//! count, because the commit fixes the float discipline:
 //!
-//! # The retired sequential-stream oracle
+//! * each packet accumulates its energy in a private subtotal, and
+//!   subtotals fold into the run total in ascending source order;
+//! * per-node ledger charges are committed once per round per
+//!   `(node, category)` from exactly-merged integer attempt counts times
+//!   the (round-constant) per-attempt cost.
 //!
-//! The pre-counter kernel drew every attempt from **one sequential
-//! `StdRng` stream**, so a hop's retry count decided which values the
-//! next hop saw — correct, but permanently serial. It is retained
-//! verbatim as [`simulate_lossy_gathering_seqstream`], pinned by its own
-//! frozen golden, so the pre-migration baselines stay reproducible
-//! forever. New work uses the counter kernel.
+//! # Why no rollback is needed
+//!
+//! The lossy model has no energy budgets, so there is no cross-packet
+//! coupling and no margin to check: region walks commute and every
+//! round commits. (The budgeted gathering kernel has that coupling,
+//! which is why gathering runs one serial kernel — see [`crate::agg`].)
+//!
+//! # When parallelism cannot pay
+//!
+//! Region setup, the per-round barrier and the tally merge are pure
+//! overhead on small runs, so [`simulate_lossy_gathering_faulted_par`]
+//! first checks a cheap nodes-per-worker floor
+//! ([`PAR_MIN_NODES_PER_WORKER`], overridable per thread) and runs one
+//! region when the run is too small — bit-identical results either way,
+//! observable only through
+//! [`par_serial_fallback_count`]/[`par_engaged_count`].
+//!
+//! The retired sequential-stream kernel, which drew every attempt from
+//! one `StdRng` stream and so was permanently serial, is kept as a test
+//! oracle pinned by its own frozen golden (`tests/seqstream_oracle.rs`).
 
+use crate::csr::RegionPartition;
 use crate::routing::{PackedRoutes, RouteCache, RoutingStrategy};
 use crate::topology::{NodeId, Topology};
 use ami_radio::{Packet, RadioEnergyModel, StopAndWaitArq};
 use ami_sim::fault::{FaultSchedule, FaultTimeline};
 use ami_sim::obs::{EnergyCategory, LedgerRecorder, NullRecorder, Recorder};
 use ami_sim::rng::packet_rng;
-use ami_sim::sim_rng;
+use ami_sim::runner::RoundPool;
 use ami_units::{DataVolume, Energy, EnergyPerBit, Length};
-use rand::rngs::StdRng;
 use rand::RngExt;
 use serde::{Deserialize, Serialize};
+use std::cell::Cell;
+use std::ops::Range;
+use std::sync::Mutex;
 
 /// Parameters of a lossy gathering network.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -135,9 +155,57 @@ impl LossyReport {
     }
 }
 
+/// Default floor on nodes-per-worker below which
+/// [`simulate_lossy_gathering_faulted_par`] runs one region instead of
+/// spinning up workers: below city scale the per-round barrier and
+/// merge overhead outweigh the work (BENCH_NET measured speedups under
+/// 1.0 even at n=10⁴ on small hosts). Results are bit-identical either
+/// way, so the threshold is purely a performance heuristic.
+pub const PAR_MIN_NODES_PER_WORKER: usize = 4096;
+
+thread_local! {
+    static PAR_MIN_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
+    static PAR_FALLBACKS: Cell<u64> = const { Cell::new(0) };
+    static PAR_ENGAGED: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Overrides [`PAR_MIN_NODES_PER_WORKER`] on this thread (`Some(0)`
+/// forces more than one region whenever more than one worker is asked
+/// for, `None` restores the default). Returns the previous override so
+/// callers can scope it. Benchmarks force-engage so `_par` rows measure
+/// many regions, not the one-region fallback.
+pub fn set_par_min_nodes_per_worker(min: Option<usize>) -> Option<usize> {
+    PAR_MIN_OVERRIDE.with(|cell| cell.replace(min))
+}
+
+/// The effective nodes-per-worker floor on this thread.
+pub fn par_min_nodes_per_worker() -> usize {
+    PAR_MIN_OVERRIDE
+        .with(Cell::get)
+        .unwrap_or(PAR_MIN_NODES_PER_WORKER)
+}
+
+/// How many [`simulate_lossy_gathering_faulted_par`] calls on this
+/// thread ran one region.
+pub fn par_serial_fallback_count() -> u64 {
+    PAR_FALLBACKS.with(Cell::get)
+}
+
+/// How many [`simulate_lossy_gathering_faulted_par`] calls on this
+/// thread ran more than one region.
+pub fn par_engaged_count() -> u64 {
+    PAR_ENGAGED.with(Cell::get)
+}
+
+/// Zeroes both engagement counters on this thread.
+pub fn reset_par_engagement_counters() {
+    PAR_FALLBACKS.with(|cell| cell.set(0));
+    PAR_ENGAGED.with(|cell| cell.set(0));
+}
+
 /// How one offered packet ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum LossyFate {
+enum LossyFate {
     /// Reached the sink end-to-end.
     Delivered,
     /// Died on channel noise: some hop exhausted its ARQ budget.
@@ -146,38 +214,96 @@ pub(crate) enum LossyFate {
     Fault,
 }
 
-/// The round-constant inputs of a packet walk, shared by the serial
-/// kernel and the region-parallel engine so both execute the *same*
-/// code — the bit-exactness argument reduces to "same inputs, same
-/// function, replayed folds".
-pub(crate) struct LossyRoundCtx<'a> {
-    pub sink: NodeId,
-    pub seed: u64,
+/// The round-constant inputs every region walks against.
+struct LossyRoundCtx<'a> {
+    sink: NodeId,
+    seed: u64,
     /// Per-hop delivery probability at the configured BER.
-    pub p_hop: f64,
+    p_hop: f64,
     /// Receive energy per attempt (distance-independent).
-    pub rx: f64,
-    pub max_transmissions: u32,
-    /// `max_transmissions` as the u64 the fault branches account with.
-    pub attempts: u64,
-    /// `max_transmissions` as the f64 the fault branches charge with.
-    pub attempts_f: f64,
+    rx: f64,
+    max_transmissions: u32,
     /// Packed next-hop table (`u32::MAX` = routeless), flat-indexed by
     /// node id so the hop chase is two array loads, not a cache probe.
-    pub parent: &'a [u32],
+    parent: &'a [u32],
     /// Packed per-node transmit cost, same indexing.
-    pub tx_costs: &'a [f64],
-    pub timeline: &'a FaultTimeline,
-    pub down_now: &'a [bool],
+    tx_costs: &'a [f64],
+    connected: &'a [bool],
+    timeline: &'a FaultTimeline,
+    down_now: &'a [bool],
+}
+
+/// One region's tally for one round. Walks from a region can land ARQ
+/// attempts on *any* node (routes cross regions), so the attempt arrays
+/// are full-length; integer counts merge exactly at commit. Energy
+/// slots cover only the region's own sources.
+struct RegionTally {
+    /// Per-node ARQ attempt counts (sender side).
+    tx_attempts: Vec<u64>,
+    /// Per-node listen counts (receiver side).
+    rx_attempts: Vec<u64>,
+    /// Per-source packet energy subtotal, indexed from the region's
+    /// first id; exactly 0.0 for sources that offered nothing.
+    energy: Vec<f64>,
+    offered: u64,
+    delivered: u64,
+    faulted: u64,
+    transmissions: u64,
+}
+
+impl RegionTally {
+    fn new(nodes: usize, sources: usize) -> Self {
+        Self {
+            tx_attempts: vec![0; nodes],
+            rx_attempts: vec![0; nodes],
+            energy: vec![0.0; sources],
+            offered: 0,
+            delivered: 0,
+            faulted: 0,
+            transmissions: 0,
+        }
+    }
+
+    /// Walks every live connected source in `sources`, ascending: each
+    /// offers one packet drawn from its own counter stream, so regions
+    /// cannot perturb one another.
+    fn walk(&mut self, ctx: &LossyRoundCtx<'_>, round: u64, sources: Range<usize>) {
+        let first = sources.start;
+        for src in sources {
+            let slot = &mut self.energy[src - first];
+            *slot = 0.0;
+            if src == ctx.sink.0 || ctx.down_now[src] || !ctx.connected[src] {
+                continue; // the sink, a powered-off node, or routeless
+            }
+            self.offered += 1;
+            let (fate, energy) = walk_packet(
+                ctx,
+                round,
+                NodeId(src),
+                &mut self.tx_attempts,
+                &mut self.rx_attempts,
+                &mut self.transmissions,
+            );
+            *slot = energy;
+            match fate {
+                LossyFate::Delivered => self.delivered += 1,
+                LossyFate::Fault => self.faulted += 1,
+                // Channel losses are implicit in the counters
+                // (offered − delivered − fault); they are not a
+                // `dropped_*` recorder cause.
+                LossyFate::Channel => {}
+            }
+        }
+    }
 }
 
 /// Walks one offered packet from `src` toward the sink, drawing every
 /// channel attempt from the packet's own counter stream. Returns the
 /// packet's fate and its private energy subtotal; per-node attempt
 /// counts and the transmission tally are accumulated into the caller's
-/// scratch. Pure in `(ctx, round, src)` — no draw depends on any other
-/// packet, which is what lets callers execute walks in any order.
-pub(crate) fn walk_packet(
+/// tally. Pure in `(ctx, round, src)` — no draw depends on any other
+/// packet, which is what lets regions execute walks in any order.
+fn walk_packet(
     ctx: &LossyRoundCtx<'_>,
     round: u64,
     src: NodeId,
@@ -186,6 +312,8 @@ pub(crate) fn walk_packet(
     transmissions: &mut u64,
 ) -> (LossyFate, f64) {
     let mut rng = packet_rng(ctx.seed, round, src.0 as u64);
+    let attempts = u64::from(ctx.max_transmissions);
+    let attempts_f = f64::from(ctx.max_transmissions);
     let mut pkt_energy = 0.0f64;
     let sink = ctx.sink.0 as u32;
     let mut from = src.0 as u32;
@@ -199,19 +327,19 @@ pub(crate) fn walk_packet(
             // exhausts its ARQ budget; nothing listens on the far end.
             // No random draws — the packet's stream stays aligned with
             // the unfaulted run.
-            *transmissions += ctx.attempts;
-            tx_attempts[fu] += ctx.attempts;
-            pkt_energy += ctx.attempts_f * tx;
+            *transmissions += attempts;
+            tx_attempts[fu] += attempts;
+            pkt_energy += attempts_f * tx;
             return (LossyFate::Fault, pkt_energy);
         }
         if ctx.timeline.link_down(fu, hop as usize) {
             // Downed link between two powered nodes: every attempt
             // costs the sender a transmit and the receiver a listen,
             // but nothing crosses.
-            *transmissions += ctx.attempts;
-            tx_attempts[fu] += ctx.attempts;
-            rx_attempts[hop as usize] += ctx.attempts;
-            pkt_energy += ctx.attempts_f * (tx + ctx.rx);
+            *transmissions += attempts;
+            tx_attempts[fu] += attempts;
+            rx_attempts[hop as usize] += attempts;
+            pkt_energy += attempts_f * (tx + ctx.rx);
             return (LossyFate::Fault, pkt_energy);
         }
         let mut hop_ok = false;
@@ -238,52 +366,42 @@ pub(crate) fn walk_packet(
     }
 }
 
-/// Run state of the counter-RNG lossy kernel, shared between the serial
-/// loop and the region-parallel engine in [`crate::pdes`] (which
-/// borrows the fields disjointly for its worker phases).
-pub(crate) struct LossyState<'a> {
-    pub topology: &'a Topology,
-    pub sink: NodeId,
-    pub seed: u64,
-    pub p_hop: f64,
-    pub bits: DataVolume,
-    pub rx: f64,
-    pub radio: &'a RadioEnergyModel,
-    pub max_hop: Length,
-    pub max_transmissions: u32,
-    pub attempts: u64,
-    pub attempts_f: f64,
-    pub faults_active: bool,
-    pub timeline: FaultTimeline,
-    pub down_now: Vec<bool>,
-    pub down_prev: Vec<bool>,
-    pub usable: Vec<bool>,
-    pub cache: RouteCache,
+/// Run state of the lossy kernel: round-constant channel parameters,
+/// fault and route state, and the run totals the commit folds into.
+struct LossyState<'a> {
+    topology: &'a Topology,
+    config: &'a LossyConfig,
+    sink: NodeId,
+    seed: u64,
+    p_hop: f64,
+    bits: DataVolume,
+    rx: f64,
+    faults_active: bool,
+    timeline: FaultTimeline,
+    down_now: Vec<bool>,
+    down_prev: Vec<bool>,
+    usable: Vec<bool>,
+    cache: RouteCache,
     /// Flat next-hop/cost image of `cache`, refreshed when the cache
     /// epoch moves; the hop chase reads these, not the cache.
-    pub packed: PackedRoutes,
-    pub routes_dirty: bool,
-    /// Per-node ARQ attempt counts this round (sender side), committed
-    /// to the recorder once per round in ascending node order.
-    pub tx_attempts: Vec<u64>,
-    /// Per-node listen counts this round (receiver side).
-    pub rx_attempts: Vec<u64>,
-    pub offered: u64,
-    pub delivered: u64,
-    pub transmissions: u64,
-    pub dropped_fault: u64,
-    pub energy: f64,
+    packed: PackedRoutes,
+    routes_dirty: bool,
+    offered: u64,
+    delivered: u64,
+    transmissions: u64,
+    dropped_fault: u64,
+    energy: f64,
 }
 
 impl<'a> LossyState<'a> {
-    pub fn new(
+    fn new(
         topology: &'a Topology,
         config: &'a LossyConfig,
-        rounds: u64,
         seed: u64,
         faults: &FaultSchedule,
+        cache: RouteCache,
+        packed: PackedRoutes,
     ) -> Self {
-        assert!(rounds > 0, "simulate at least one round");
         assert!(
             (0.0..=0.5).contains(&config.ber),
             "BER must lie in [0, 0.5]"
@@ -292,6 +410,7 @@ impl<'a> LossyState<'a> {
         let bits = config.packet.total_bits();
         Self {
             topology,
+            config,
             sink: topology.sink(),
             seed,
             p_hop: config.packet.delivery_probability(config.ber),
@@ -299,11 +418,6 @@ impl<'a> LossyState<'a> {
             // Receive energy is distance-independent: one value serves
             // every hop.
             rx: config.radio.receive_energy(bits).as_joules(),
-            radio: &config.radio,
-            max_hop: config.max_hop,
-            max_transmissions: config.arq.max_transmissions,
-            attempts: u64::from(config.arq.max_transmissions),
-            attempts_f: f64::from(config.arq.max_transmissions),
             faults_active: !faults.is_empty(),
             // Compiled down/link windows: O(1) per query instead of an
             // event scan, cursor advanced once per round.
@@ -311,11 +425,11 @@ impl<'a> LossyState<'a> {
             down_now: vec![false; n],
             down_prev: vec![false; n],
             usable: vec![true; n],
-            cache: RouteCache::new(n),
-            packed: PackedRoutes::new(n),
+            cache,
+            packed,
+            // Starts dirty so the first round adopts (or builds) routes
+            // over the full node set.
             routes_dirty: true,
-            tx_attempts: vec![0; n],
-            rx_attempts: vec![0; n],
             offered: 0,
             delivered: 0,
             transmissions: 0,
@@ -324,11 +438,46 @@ impl<'a> LossyState<'a> {
         }
     }
 
+    /// Runs `rounds` rounds on `regions` regions: begin (faults,
+    /// routes), region walks on the pool, one commit, end. With one
+    /// region the pool spawns nothing and the walk runs inline.
+    fn run<R: Recorder>(&mut self, rounds: u64, regions: usize, recorder: &mut R) {
+        let n = self.topology.len();
+        let part =
+            RegionPartition::balanced(self.topology.positions(), self.config.max_hop, regions);
+        let mut tallies: Vec<Mutex<RegionTally>> = (0..regions)
+            .map(|r| Mutex::new(RegionTally::new(n, part.range(r).len())))
+            .collect();
+        RoundPool::scoped(regions, |pool| {
+            for round in 0..rounds {
+                self.begin_round(round);
+                let ctx = LossyRoundCtx {
+                    sink: self.sink,
+                    seed: self.seed,
+                    p_hop: self.p_hop,
+                    rx: self.rx,
+                    max_transmissions: self.config.arq.max_transmissions,
+                    parent: &self.packed.parent,
+                    tx_costs: &self.packed.tx,
+                    connected: self.cache.connected_flags(),
+                    timeline: &self.timeline,
+                    down_now: &self.down_now,
+                };
+                pool.run(&|w| {
+                    let mut tally = tallies[w].lock().expect("region tally");
+                    tally.walk(&ctx, round, part.range(w));
+                });
+                self.commit_round(&mut tallies, recorder);
+                self.end_round();
+            }
+        });
+    }
+
     /// Advances fault state and re-resolves routes when dirty. Routing
     /// sees fault state with a one-round lag, as in `gather` (no budget
     /// deaths here — links are lossy but energy is not finite in this
     /// model).
-    pub fn begin_round(&mut self, round: u64) {
+    fn begin_round(&mut self, round: u64) {
         if self.faults_active {
             self.timeline.advance_to(round);
             for (id, down) in self.down_now.iter_mut().enumerate() {
@@ -342,8 +491,8 @@ impl<'a> LossyState<'a> {
             self.cache.ensure(
                 self.topology,
                 RoutingStrategy::MinimumEnergy,
-                self.radio,
-                self.max_hop,
+                &self.config.radio,
+                self.config.max_hop,
                 self.bits,
                 &self.usable,
             );
@@ -352,106 +501,87 @@ impl<'a> LossyState<'a> {
         self.packed.ensure(&self.cache);
     }
 
-    /// The serial round body: every live connected sensor offers one
-    /// packet and walks it, ascending source id; the recorder sees the
-    /// round's per-node charges afterwards via [`Self::commit_charges`].
-    pub fn send_all<R: Recorder>(&mut self, round: u64, recorder: &mut R) {
-        let Self {
-            topology,
-            sink,
-            seed,
-            p_hop,
-            rx,
-            max_transmissions,
-            attempts,
-            attempts_f,
-            timeline,
-            down_now,
-            cache,
-            packed,
-            tx_attempts,
-            rx_attempts,
-            offered,
-            delivered,
-            transmissions,
-            dropped_fault,
-            energy,
-            ..
-        } = self;
-        let ctx = LossyRoundCtx {
-            sink: *sink,
-            seed: *seed,
-            p_hop: *p_hop,
-            rx: *rx,
-            max_transmissions: *max_transmissions,
-            attempts: *attempts,
-            attempts_f: *attempts_f,
-            parent: &packed.parent,
-            tx_costs: &packed.tx,
-            timeline,
-            down_now,
-        };
-        for id in topology.sensor_ids() {
-            if ctx.down_now[id.0] {
-                continue; // powered off: offers nothing
-            }
-            if !cache.is_connected(id) {
-                continue;
-            }
-            *offered += 1;
-            recorder.packet_offered();
-            let (fate, pkt_energy) =
-                walk_packet(&ctx, round, id, tx_attempts, rx_attempts, transmissions);
-            *energy += pkt_energy;
-            match fate {
-                LossyFate::Delivered => {
-                    *delivered += 1;
-                    recorder.packet_delivered();
-                }
-                LossyFate::Fault => {
-                    *dropped_fault += 1;
-                    recorder.packet_dropped_fault();
-                }
-                // Channel losses are implicit in the counters
-                // (offered − delivered − fault); they are not a
-                // `dropped_*` recorder cause.
-                LossyFate::Channel => {}
-            }
+    /// Folds the round's region tallies into the run, in ascending
+    /// region order: packet energy subtotals in ascending source id,
+    /// then one charge per `(node, category)` from the merged integer
+    /// attempt counts — all `Tx` ascending, then all `RxRelay` — then
+    /// the packet tallies. Leaves every attempt count at zero.
+    fn commit_round<R: Recorder>(&mut self, tallies: &mut [Mutex<RegionTally>], recorder: &mut R) {
+        let (first, rest) = tallies.split_first_mut().expect("at least one region");
+        let merged = first.get_mut().expect("region tally");
+        // Unoffered slots are exactly 0.0 and the run total is never
+        // -0.0, so adding them changes no bit of the ascending fold.
+        for &slot in &merged.energy {
+            self.energy += slot;
         }
-        self.commit_charges(recorder);
-    }
+        for region in rest {
+            let region = region.get_mut().expect("region tally");
+            for &slot in &region.energy {
+                self.energy += slot;
+            }
+            for (sum, count) in merged.tx_attempts.iter_mut().zip(&mut region.tx_attempts) {
+                *sum += std::mem::take(count);
+            }
+            for (sum, count) in merged.rx_attempts.iter_mut().zip(&mut region.rx_attempts) {
+                *sum += std::mem::take(count);
+            }
+            merged.offered += std::mem::take(&mut region.offered);
+            merged.delivered += std::mem::take(&mut region.delivered);
+            merged.faulted += std::mem::take(&mut region.faulted);
+            merged.transmissions += std::mem::take(&mut region.transmissions);
+        }
 
-    /// Commits the round's attempt counts to the recorder — one charge
-    /// per `(node, category)` in ascending node order, integer count
-    /// times the round-constant per-attempt cost — and clears them.
-    /// This is the serial definition the parallel engine replays.
-    pub fn commit_charges<R: Recorder>(&mut self, recorder: &mut R) {
-        let tx_costs = self.cache.tx_costs();
-        for (id, count) in self.tx_attempts.iter_mut().enumerate() {
+        let mut tx_total = 0u64;
+        for ((id, count), &tx_cost) in merged
+            .tx_attempts
+            .iter_mut()
+            .enumerate()
+            .zip(self.cache.tx_costs())
+        {
             if *count > 0 {
-                recorder.charge(id, EnergyCategory::Tx, *count as f64 * tx_costs[id]);
+                tx_total += *count;
+                recorder.charge(id, EnergyCategory::Tx, *count as f64 * tx_cost);
                 *count = 0;
             }
         }
-        for (id, count) in self.rx_attempts.iter_mut().enumerate() {
+        for (id, count) in merged.rx_attempts.iter_mut().enumerate() {
             if *count > 0 {
                 recorder.charge(id, EnergyCategory::RxRelay, *count as f64 * self.rx);
                 *count = 0;
             }
         }
+
+        let offered = std::mem::take(&mut merged.offered);
+        let delivered = std::mem::take(&mut merged.delivered);
+        let faulted = std::mem::take(&mut merged.faulted);
+        let transmissions = std::mem::take(&mut merged.transmissions);
+        // Conservation, checked on every round of every debug run: each
+        // transmission is exactly one sender attempt, and no packet is
+        // both delivered and lost to a fault.
+        debug_assert_eq!(tx_total, transmissions, "Σ tx attempts ≠ transmissions");
+        debug_assert!(
+            offered >= delivered + faulted,
+            "offered {offered} < delivered {delivered} + faulted {faulted}"
+        );
+        recorder.packets_offered(offered);
+        recorder.packets_delivered(delivered);
+        recorder.packets_dropped_fault(faulted);
+        self.offered += offered;
+        self.delivered += delivered;
+        self.dropped_fault += faulted;
+        self.transmissions += transmissions;
     }
 
     /// Notices fault transitions (dirty routes next round) and rotates
     /// the down flags.
-    pub fn end_round(&mut self, _round: u64) {
+    fn end_round(&mut self) {
         if self.faults_active && self.down_now != self.down_prev {
             self.routes_dirty = true;
         }
         std::mem::swap(&mut self.down_prev, &mut self.down_now);
     }
 
-    /// Final report.
-    pub fn finish(self) -> LossyReport {
+    fn report(&self) -> LossyReport {
         LossyReport {
             offered: self.offered,
             delivered: self.delivered,
@@ -500,41 +630,120 @@ pub fn simulate_lossy_gathering_faulted(
     seed: u64,
     faults: &FaultSchedule,
 ) -> LossyReport {
-    simulate_lossy_gathering_faulted_with(topology, config, rounds, seed, faults, &mut NullRecorder)
+    simulate_lossy_gathering_faulted_with(
+        topology,
+        config,
+        rounds,
+        seed,
+        faults,
+        1,
+        &mut NullRecorder,
+    )
 }
 
-/// [`simulate_lossy_gathering_faulted`] with a [`Recorder`] attached:
-/// per-node `Tx`/`RxRelay` charges (ARQ attempt counts times the
-/// per-attempt cost, committed once per round per node) and the packet
-/// counters (`offered`, `delivered`, `dropped_fault`; channel losses
-/// are the remainder). The un-instrumented entry points pass
-/// [`NullRecorder`], which monomorphizes the hooks away.
+/// [`simulate_lossy_gathering_faulted`] on `threads` regions with a
+/// [`Recorder`] attached — the one generic lossy entry point. The
+/// recorder sees per-node `Tx`/`RxRelay` charges (ARQ attempt counts
+/// times the per-attempt cost, committed once per round per node) and
+/// the packet counters (`offered`, `delivered`, `dropped_fault`;
+/// channel losses are the remainder). The un-instrumented entry points
+/// pass [`NullRecorder`], which monomorphizes the hooks away.
+///
+/// Runs exactly `threads` regions, each on its own worker (one runs
+/// inline on the caller); results are bit-identical at any count.
+/// [`simulate_lossy_gathering_faulted_par`] is the variant that skips
+/// regions a run is too small to pay for.
 ///
 /// # Panics
 ///
-/// Panics if `rounds` is zero or the BER is outside `[0, 0.5]`.
+/// Panics if `rounds` or `threads` is zero, or the BER is outside
+/// `[0, 0.5]`.
 pub fn simulate_lossy_gathering_faulted_with<R: Recorder>(
     topology: &Topology,
     config: &LossyConfig,
     rounds: u64,
     seed: u64,
     faults: &FaultSchedule,
+    threads: usize,
     recorder: &mut R,
 ) -> LossyReport {
-    let mut state = LossyState::new(topology, config, rounds, seed, faults);
-    for round in 0..rounds {
-        state.begin_round(round);
-        state.send_all(round, recorder);
-        state.end_round(round);
-    }
-    state.finish()
+    LossySession::new(topology, config).run_regions(rounds, seed, faults, threads, recorder)
+}
+
+/// [`simulate_lossy_gathering_faulted`] with the standard instrumented
+/// recorder: returns the report plus the energy ledger and packet
+/// counters of the run.
+///
+/// # Panics
+///
+/// Panics if `rounds` is zero or the BER is outside `[0, 0.5]`.
+pub fn simulate_lossy_gathering_faulted_observed(
+    topology: &Topology,
+    config: &LossyConfig,
+    rounds: u64,
+    seed: u64,
+    faults: &FaultSchedule,
+) -> (LossyReport, LedgerRecorder) {
+    let mut recorder = LedgerRecorder::with_nodes(topology.len());
+    let report = simulate_lossy_gathering_faulted_with(
+        topology,
+        config,
+        rounds,
+        seed,
+        faults,
+        1,
+        &mut recorder,
+    );
+    (report, recorder)
+}
+
+/// [`simulate_lossy_gathering_faulted`] on up to `threads` worker
+/// threads — bit-identical at any thread count.
+///
+/// Below [`par_min_nodes_per_worker`]×`threads` nodes (and always at one
+/// thread) the run takes one region, counted by
+/// [`par_serial_fallback_count`]; otherwise it takes `threads` regions,
+/// counted by [`par_engaged_count`]. See
+/// [`set_par_min_nodes_per_worker`].
+///
+/// # Panics
+///
+/// Panics if `rounds` or `threads` is zero, or the BER is outside
+/// `[0, 0.5]`.
+pub fn simulate_lossy_gathering_faulted_par(
+    topology: &Topology,
+    config: &LossyConfig,
+    rounds: u64,
+    seed: u64,
+    faults: &FaultSchedule,
+    threads: usize,
+) -> LossyReport {
+    assert!(threads > 0, "at least one worker thread");
+    let regions =
+        if threads > 1 && topology.len() >= par_min_nodes_per_worker().saturating_mul(threads) {
+            PAR_ENGAGED.with(|cell| cell.set(cell.get() + 1));
+            threads
+        } else {
+            PAR_FALLBACKS.with(|cell| cell.set(cell.get() + 1));
+            1
+        };
+    simulate_lossy_gathering_faulted_with(
+        topology,
+        config,
+        rounds,
+        seed,
+        faults,
+        regions,
+        &mut NullRecorder,
+    )
 }
 
 /// Reusable lossy-run session over one `(topology, config)` pair: the
 /// route cache and its packed next-hop image persist across runs, so
 /// every run after the first skips the Dijkstra build (the dominant
 /// fixed cost at city scale) and measures marginal round work only.
-/// Each run is bit-identical to the matching one-shot entry point.
+/// Each run is bit-identical to the matching one-shot entry point,
+/// which is itself a session used once.
 pub struct LossySession<'a> {
     topology: &'a Topology,
     config: &'a LossyConfig,
@@ -578,202 +787,32 @@ impl<'a> LossySession<'a> {
         faults: &FaultSchedule,
         recorder: &mut R,
     ) -> LossyReport {
-        let mut state = LossyState::new(self.topology, self.config, rounds, seed, faults);
-        // Adopt the session's warm cache and packed image;
-        // `begin_round` no-ops both when the usable set still matches
-        // what the cache was built over.
-        state.cache = std::mem::replace(&mut self.cache, RouteCache::new(0));
-        state.packed = std::mem::replace(&mut self.packed, PackedRoutes::new(0));
-        for round in 0..rounds {
-            state.begin_round(round);
-            state.send_all(round, recorder);
-            state.end_round(round);
-        }
-        self.cache = std::mem::replace(&mut state.cache, RouteCache::new(0));
-        self.packed = std::mem::replace(&mut state.packed, PackedRoutes::new(0));
-        state.finish()
-    }
-}
-
-/// [`simulate_lossy_gathering`] with the standard instrumented
-/// recorder: returns the report plus the energy ledger and packet
-/// counters of the run.
-///
-/// # Panics
-///
-/// Panics if `rounds` is zero or the BER is outside `[0, 0.5]`.
-pub fn simulate_lossy_gathering_observed(
-    topology: &Topology,
-    config: &LossyConfig,
-    rounds: u64,
-    seed: u64,
-) -> (LossyReport, LedgerRecorder) {
-    simulate_lossy_gathering_faulted_observed(
-        topology,
-        config,
-        rounds,
-        seed,
-        &FaultSchedule::empty(),
-    )
-}
-
-/// [`simulate_lossy_gathering_faulted`] with the standard instrumented
-/// recorder. See [`simulate_lossy_gathering_observed`].
-///
-/// # Panics
-///
-/// Panics if `rounds` is zero or the BER is outside `[0, 0.5]`.
-pub fn simulate_lossy_gathering_faulted_observed(
-    topology: &Topology,
-    config: &LossyConfig,
-    rounds: u64,
-    seed: u64,
-    faults: &FaultSchedule,
-) -> (LossyReport, LedgerRecorder) {
-    let mut recorder = LedgerRecorder::with_nodes(topology.len());
-    let report = simulate_lossy_gathering_faulted_with(
-        topology,
-        config,
-        rounds,
-        seed,
-        faults,
-        &mut recorder,
-    );
-    (report, recorder)
-}
-
-/// The retired sequential-stream lossy kernel, kept verbatim as a
-/// pinned oracle: every ARQ attempt draws from **one** `StdRng` stream
-/// in execution order, so a hop's retry count decides which values the
-/// next hop sees. This is the kernel that produced every pre-migration
-/// lossy baseline; its own frozen golden pins it, and it must never be
-/// edited. New work uses [`simulate_lossy_gathering_faulted`], whose
-/// per-packet counter streams make results order-independent.
-///
-/// # Panics
-///
-/// Panics if `rounds` is zero or the BER is outside `[0, 0.5]`.
-pub fn simulate_lossy_gathering_seqstream(
-    topology: &Topology,
-    config: &LossyConfig,
-    rounds: u64,
-    seed: u64,
-    faults: &FaultSchedule,
-) -> LossyReport {
-    assert!(rounds > 0, "simulate at least one round");
-    assert!(
-        (0.0..=0.5).contains(&config.ber),
-        "BER must lie in [0, 0.5]"
-    );
-    let n = topology.len();
-    let sink = topology.sink();
-    let p_hop = config.packet.delivery_probability(config.ber);
-    let bits = config.packet.total_bits();
-    let attempts = u64::from(config.arq.max_transmissions);
-    let rx = config.radio.receive_energy(bits).as_joules();
-    let faults_active = !faults.is_empty();
-    let mut timeline = FaultTimeline::compile(faults, n);
-    let mut rng = sim_rng(seed);
-    let mut offered = 0u64;
-    let mut delivered = 0u64;
-    let mut transmissions = 0u64;
-    let mut dropped_fault = 0u64;
-    let mut energy = 0.0f64;
-
-    let mut down_now = vec![false; n];
-    let mut down_prev = vec![false; n];
-    let mut usable = vec![true; n];
-    let mut cache = RouteCache::new(n);
-    let mut routes_dirty = true;
-
-    for round in 0..rounds {
-        if faults_active {
-            timeline.advance_to(round);
-            for (id, down) in down_now.iter_mut().enumerate() {
-                *down = id != sink.0 && timeline.node_down(id);
-            }
-        }
-        if routes_dirty {
-            for (id, flag) in usable.iter_mut().enumerate() {
-                *flag = id == sink.0 || !down_prev[id];
-            }
-            cache.ensure(
-                topology,
-                RoutingStrategy::MinimumEnergy,
-                &config.radio,
-                config.max_hop,
-                bits,
-                &usable,
-            );
-            routes_dirty = false;
-        }
-
-        for id in topology.sensor_ids() {
-            if down_now[id.0] {
-                continue;
-            }
-            if !cache.is_connected(id) {
-                continue;
-            }
-            offered += 1;
-            let mut from = id;
-            let mut alive = true;
-            let mut faulted = false;
-            while alive && from != sink {
-                let hop = cache
-                    .next_hop(from)
-                    .expect("connected route reaches the sink");
-                let tx = cache.tx_cost(from);
-                if hop != sink && down_now[hop.0] {
-                    transmissions += attempts;
-                    energy += attempts as f64 * tx;
-                    faulted = true;
-                    break;
-                }
-                if timeline.link_down(from.0, hop.0) {
-                    transmissions += attempts;
-                    energy += attempts as f64 * (tx + rx);
-                    faulted = true;
-                    break;
-                }
-                let mut hop_ok = false;
-                for _attempt in 0..config.arq.max_transmissions {
-                    transmissions += 1;
-                    energy += tx;
-                    energy += rx;
-                    if bernoulli(&mut rng, p_hop) {
-                        hop_ok = true;
-                        break;
-                    }
-                }
-                if !hop_ok {
-                    alive = false;
-                }
-                from = hop;
-            }
-            if faulted {
-                dropped_fault += 1;
-            } else if alive {
-                delivered += 1;
-            }
-        }
-        if faults_active && down_now != down_prev {
-            routes_dirty = true;
-        }
-        std::mem::swap(&mut down_prev, &mut down_now);
+        self.run_regions(rounds, seed, faults, 1, recorder)
     }
 
-    LossyReport {
-        offered,
-        delivered,
-        transmissions,
-        total_energy: Energy::from_joules(energy),
-        dropped_fault,
+    /// One run on `regions` regions. The run state adopts the session's
+    /// warm cache and packed image — `begin_round` no-ops both when the
+    /// usable set still matches what the cache was built over — and
+    /// hands them back afterwards.
+    fn run_regions<R: Recorder>(
+        &mut self,
+        rounds: u64,
+        seed: u64,
+        faults: &FaultSchedule,
+        regions: usize,
+        recorder: &mut R,
+    ) -> LossyReport {
+        assert!(rounds > 0, "simulate at least one round");
+        assert!(regions > 0, "at least one worker thread");
+        let cache = std::mem::replace(&mut self.cache, RouteCache::new(0));
+        let packed = std::mem::replace(&mut self.packed, PackedRoutes::new(0));
+        let mut state = LossyState::new(self.topology, self.config, seed, faults, cache, packed);
+        state.run(rounds, regions, recorder);
+        let report = state.report();
+        self.cache = state.cache;
+        self.packed = state.packed;
+        report
     }
-}
-
-fn bernoulli(rng: &mut StdRng, p: f64) -> bool {
-    rng.random::<f64>() < p
 }
 
 #[cfg(test)]
@@ -915,7 +954,13 @@ mod tests {
     #[test]
     fn observed_run_carries_the_report_energy_in_the_ledger() {
         let config = LossyConfig::bruised_channel();
-        let (report, obs) = simulate_lossy_gathering_observed(&topo(), &config, 60, 5);
+        let (report, obs) = simulate_lossy_gathering_faulted_observed(
+            &topo(),
+            &config,
+            60,
+            5,
+            &FaultSchedule::empty(),
+        );
         // Charges are committed per (node, round, category) while the
         // report folds per packet, so the totals agree to rounding, not
         // bitwise.
@@ -1107,90 +1152,72 @@ mod tests {
         }
     }
 
-    mod seqstream {
+    mod regions {
         use super::*;
-        use ami_sim::fault::FaultSpec;
 
-        /// The oracle's own frozen golden, captured on the F13 fixture
-        /// (5×5 grid at 30 m, bruised channel, 300 rounds, seed 2003)
-        /// at the moment the counter kernel replaced it. These are the
-        /// exact numbers the pre-migration F13 goldens carried — the
-        /// faulted row *is* the retired
-        /// `golden/f13_faulted_manifest.json` — so any edit to the
-        /// retired kernel (or to `sim_rng`'s stream) trips this test.
-        #[test]
-        fn seqstream_oracle_matches_its_frozen_golden() {
-            let topo = Topology::grid(5, Length::from_meters(30.0));
+        fn par(topology: &Topology, rounds: u64, seed: u64, threads: usize) -> LossyReport {
             let config = LossyConfig::bruised_channel();
-            let plain = simulate_lossy_gathering_seqstream(
-                &topo,
+            simulate_lossy_gathering_faulted_par(
+                topology,
                 &config,
-                300,
-                2003,
+                rounds,
+                seed,
                 &FaultSchedule::empty(),
-            );
-            assert_eq!(
-                (
-                    plain.offered,
-                    plain.delivered,
-                    plain.transmissions,
-                    plain.dropped_fault
-                ),
-                (7200, 7150, 26483, 0)
-            );
-            assert_eq!(
-                plain.total_energy.as_joules().to_bits(),
-                0x3ff7_4335_08f6_45aa,
-                "plain energy drifted from 1.453907999999823 J"
-            );
+                threads,
+            )
+        }
 
-            let spec = FaultSpec::parse("death=0.12,outage=0.2:40,link=0.15:30")
-                .expect("the F13 fault spec parses");
-            let faults = spec.schedule_for(2003, topo.len(), 300);
-            let faulted = simulate_lossy_gathering_seqstream(&topo, &config, 300, 2003, &faults);
+        #[test]
+        #[should_panic(expected = "at least one worker")]
+        fn lossy_zero_threads_rejected() {
+            let _ = par(&Topology::grid(3, Length::from_meters(20.0)), 1, 2003, 0);
+        }
+
+        #[test]
+        fn small_runs_fall_back_to_serial_and_count_it() {
+            // Default heuristic: a 16-node grid can never cover the
+            // per-worker floor, so `_par` must run one region —
+            // observable only through the counters, because the results
+            // are bit-identical either way.
+            set_par_min_nodes_per_worker(None);
+            reset_par_engagement_counters();
+            let lossy = par(&topo(), 10, 3, 8);
+            assert_eq!(par_serial_fallback_count(), 1);
+            assert_eq!(par_engaged_count(), 0);
             assert_eq!(
-                (
-                    faulted.offered,
-                    faulted.delivered,
-                    faulted.transmissions,
-                    faulted.dropped_fault
-                ),
-                (6842, 6787, 25003, 6)
-            );
-            assert_eq!(
-                faulted.total_energy.as_joules().to_bits(),
-                0x3ff6_2e20_a4bb_339f,
-                "faulted energy drifted from 1.3862615999998764 J"
+                lossy,
+                simulate_lossy_gathering(&topo(), &LossyConfig::bruised_channel(), 10, 3)
             );
         }
 
         #[test]
-        fn seqstream_oracle_is_deterministic_and_diverges_from_counter_kernel() {
+        fn one_worker_always_falls_back() {
+            set_par_min_nodes_per_worker(Some(0));
+            reset_par_engagement_counters();
+            let _ = par(&Topology::grid(3, Length::from_meters(30.0)), 5, 1, 1);
+            assert_eq!(par_serial_fallback_count(), 1);
+            assert_eq!(par_engaged_count(), 0);
+        }
+
+        #[test]
+        fn override_engages_and_counts() {
+            set_par_min_nodes_per_worker(Some(0));
+            reset_par_engagement_counters();
+            let _ = par(&Topology::grid(3, Length::from_meters(30.0)), 5, 1, 2);
+            assert_eq!(par_engaged_count(), 1);
+            assert_eq!(par_serial_fallback_count(), 0);
+            let restored = set_par_min_nodes_per_worker(None);
+            assert_eq!(restored, Some(0));
+            assert_eq!(par_min_nodes_per_worker(), PAR_MIN_NODES_PER_WORKER);
+        }
+
+        #[test]
+        fn serial_entry_points_and_sessions_count_nothing() {
+            reset_par_engagement_counters();
             let config = LossyConfig::bruised_channel();
-            let a = simulate_lossy_gathering_seqstream(
-                &topo(),
-                &config,
-                100,
-                9,
-                &FaultSchedule::empty(),
-            );
-            let b = simulate_lossy_gathering_seqstream(
-                &topo(),
-                &config,
-                100,
-                9,
-                &FaultSchedule::empty(),
-            );
-            assert_eq!(a, b);
-            // The two kernels draw different streams by design; the
-            // statistics agree but the exact trajectories must not —
-            // if they did, the oracle would not be pinning anything.
-            let counter = simulate_lossy_gathering(&topo(), &config, 100, 9);
-            assert_eq!(counter.offered, a.offered);
-            assert_ne!(
-                (a.delivered, a.transmissions),
-                (counter.delivered, counter.transmissions)
-            );
+            let _ = simulate_lossy_gathering(&topo(), &config, 5, 1);
+            let _ = LossySession::new(&topo(), &config).run(5, 1);
+            assert_eq!((par_engaged_count(), par_serial_fallback_count()), (0, 0));
         }
     }
 }

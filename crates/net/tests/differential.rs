@@ -10,18 +10,12 @@
 //!   energy ledgers and rendered manifests, across random topologies ×
 //!   random fault schedules, with failures delta-debugged down to a
 //!   1-minimal schedule before reporting,
-//! * **region-parallel lossy rounds ≡ the serial counter-RNG kernel** —
-//!   the rollback-free lossy engine at 1, 2 and 8 threads must
-//!   reproduce the serial ARQ run's report, ledger and rendered
-//!   manifest across random fault schedules (the per-packet counter
-//!   streams are what make this possible at all; the retired
-//!   sequential-stream kernel is pinned separately by its frozen
-//!   golden in `lossy.rs`).
-//!
-//! The lossy `_par` fixtures here sit far below the production
-//! nodes-per-worker floor, so every parallel run force-engages the
-//! region engine via `set_par_min_nodes_per_worker(Some(0))` — without
-//! it the fallback would reduce these tests to serial ≡ serial.
+//! * **the lossy kernel on 1, 2, 3 and 8 regions ≡ the hop-by-hop
+//!   serial reference round** (`common::oracle::lossy_reference_run`) —
+//!   report, ledger and rendered manifest across random fault
+//!   schedules (the per-packet counter streams are what make this
+//!   possible at all; the retired sequential-stream kernel is pinned
+//!   separately by its frozen golden in `seqstream_oracle.rs`).
 //!
 //! Everything here asserts *bit* equality (ids and float bits), not
 //! approximate equality: the optimizations are only admissible because
@@ -34,16 +28,15 @@ use ami_net::routing::{
     set_route_repair_enabled, RouteCache,
 };
 use ami_net::{
-    build_routes, build_routes_over, set_par_min_nodes_per_worker, simulate_gathering_faulted,
-    simulate_gathering_faulted_observed, simulate_lossy_gathering_faulted_observed,
-    simulate_lossy_gathering_faulted_observed_par, CsrAdjacency, LossyConfig, LossyReport,
-    NetworkConfig, NetworkReport, NodeId, RoutingStrategy, Topology,
+    build_routes, build_routes_over, simulate_gathering_faulted,
+    simulate_gathering_faulted_observed, simulate_lossy_gathering_faulted_with, CsrAdjacency,
+    LossyConfig, LossyReport, NetworkConfig, NetworkReport, NodeId, RoutingStrategy, Topology,
 };
 use ami_radio::RadioEnergyModel;
-use ami_sim::fault::{FaultSchedule, FaultSpec};
+use ami_sim::fault::{FaultEvent, FaultModel, FaultSchedule, FaultSpec};
 use ami_sim::obs::{LedgerRecorder, RunManifest};
 use ami_units::{Energy, Length};
-use common::oracle::{dijkstra_reference_scan, rebuild_over_usable};
+use common::oracle::{dijkstra_reference_scan, lossy_reference_run, rebuild_over_usable};
 use common::schedule::{fault_schedule, minimize_failing_schedule};
 use proptest::prelude::*;
 
@@ -299,22 +292,26 @@ proptest! {
     }
 }
 
-/// One faulted, observed lossy/ARQ run at `threads` workers (`None` =
-/// the serial counter-RNG kernel), plus its rendered manifest — the
-/// three artifacts the lossy PDES contract pins.
+/// Region counts every lossy differential runs the kernel at.
+const REGIONS: [usize; 4] = [1, 2, 3, 8];
+
+/// One faulted, observed lossy/ARQ run on `regions` regions (`None` =
+/// the hop-by-hop serial reference round), plus its rendered manifest —
+/// the three artifacts the lossy kernel must reproduce.
 fn lossy_observed_run(
     topo: &Topology,
     config: &LossyConfig,
     schedule: &FaultSchedule,
     rounds: u64,
     seed: u64,
-    threads: Option<usize>,
+    regions: Option<usize>,
 ) -> (LossyReport, LedgerRecorder, String) {
-    let (report, obs) = match threads {
-        Some(threads) => simulate_lossy_gathering_faulted_observed_par(
-            topo, config, rounds, seed, schedule, threads,
+    let mut obs = LedgerRecorder::with_nodes(topo.len());
+    let report = match regions {
+        Some(regions) => simulate_lossy_gathering_faulted_with(
+            topo, config, rounds, seed, schedule, regions, &mut obs,
         ),
-        None => simulate_lossy_gathering_faulted_observed(topo, config, rounds, seed, schedule),
+        None => lossy_reference_run(topo, config, rounds, seed, schedule, &mut obs),
     };
     let manifest = RunManifest::new("differential-lossy")
         .field("rounds", &rounds)
@@ -326,69 +323,122 @@ fn lossy_observed_run(
     (report, obs, manifest)
 }
 
+/// Asserts the kernel at every count in [`REGIONS`] reproduces the
+/// reference round's report, ledger and manifest bit for bit.
+fn assert_lossy_matches_reference(
+    topo: &Topology,
+    config: &LossyConfig,
+    schedule: &FaultSchedule,
+    rounds: u64,
+    seed: u64,
+) -> LossyReport {
+    let reference = lossy_observed_run(topo, config, schedule, rounds, seed, None);
+    for regions in REGIONS {
+        let run = lossy_observed_run(topo, config, schedule, rounds, seed, Some(regions));
+        assert_eq!(run.0, reference.0, "report at {regions} regions");
+        assert_eq!(run.1, reference.1, "ledger at {regions} regions");
+        assert_eq!(run.2, reference.2, "manifest at {regions} regions");
+    }
+    reference.0
+}
+
 proptest! {
-    /// Lossy PDES contract: the rollback-free region-parallel ARQ
-    /// engine at 1, 2 and 8 threads is byte-identical to the serial
-    /// counter-RNG kernel — report, ledger, rendered manifest — under
-    /// random fault schedules (downed relays and links burning full
-    /// ARQ budgets mid-route), with ddmin minimization on failure.
+    /// Lossy kernel contract: on 1, 2, 3 and 8 regions the kernel is
+    /// byte-identical to the hop-by-hop serial reference round —
+    /// report, ledger, rendered manifest — under random fault schedules
+    /// (downed relays and links burning full ARQ budgets mid-route),
+    /// with ddmin minimization on failure.
     #[test]
     fn region_parallel_lossy_rounds_match_the_serial_kernel(
         seed in 0u64..40,
         schedule in fault_schedule(24, 25, 10),
     ) {
-        set_par_min_nodes_per_worker(Some(0));
         let topo = Topology::random(24, Length::from_meters(110.0), seed);
         let config = LossyConfig::bruised_channel();
         let diverges = |s: &FaultSchedule| {
-            let serial = lossy_observed_run(&topo, &config, s, 25, seed, None);
-            [1usize, 2, 8]
+            let reference = lossy_observed_run(&topo, &config, s, 25, seed, None);
+            REGIONS
                 .iter()
-                .any(|&t| lossy_observed_run(&topo, &config, s, 25, seed, Some(t)) != serial)
+                .any(|&r| lossy_observed_run(&topo, &config, s, 25, seed, Some(r)) != reference)
         };
         if diverges(&schedule) {
             let minimized =
                 minimize_failing_schedule(schedule.events(), |s| diverges(s));
-            let serial = lossy_observed_run(&topo, &config, &minimized, 25, seed, None);
+            let reference = lossy_observed_run(&topo, &config, &minimized, 25, seed, None);
             let par = lossy_observed_run(&topo, &config, &minimized, 25, seed, Some(8));
             panic!(
-                "region-parallel lossy run diverged from serial (seed {seed})\n\
-                 minimized schedule: {:?}\nserial report: {:?}\n\
-                 parallel report: {:?}\nmanifests equal: {}",
+                "lossy kernel diverged from the reference round (seed {seed})\n\
+                 minimized schedule: {:?}\nreference report: {:?}\n\
+                 8-region report: {:?}\nmanifests equal: {}",
                 minimized.events(),
-                serial.0,
+                reference.0,
                 par.0,
-                serial.2 == par.2,
+                reference.2 == par.2,
             );
         }
     }
 }
 
 #[test]
+fn healthy_lossy_grid_matches_serial_at_every_thread_count() {
+    let topo = Topology::grid(6, Length::from_meters(30.0));
+    let config = LossyConfig::bruised_channel();
+    let report = assert_lossy_matches_reference(&topo, &config, &FaultSchedule::empty(), 80, 2003);
+    assert!(report.delivered > 0 && report.delivered < report.offered);
+}
+
+#[test]
+fn faulted_lossy_observed_run_matches_serial_ledger_bitwise() {
+    let topo = Topology::grid(5, Length::from_meters(30.0));
+    let config = LossyConfig::bruised_channel();
+    let model = FaultModel {
+        death_rate: 0.2,
+        outage_rate: 0.3,
+        outage_rounds: 10,
+        link_outage_rate: 0.2,
+        link_outage_rounds: 8,
+        fade_rate: 0.0,
+        fade_factor: 1.0,
+    };
+    let faults = model.schedule(5, topo.len(), 80);
+    let report = assert_lossy_matches_reference(&topo, &config, &faults, 80, 9);
+    assert!(report.dropped_fault > 0, "fixture must fault");
+}
+
+#[test]
+fn lossy_fault_schedule_matches_serial_report() {
+    let topo = Topology::grid(4, Length::from_meters(30.0));
+    let config = LossyConfig::bruised_channel();
+    let faults = FaultSchedule::new(vec![
+        FaultEvent::NodeDeath { node: 5, round: 10 },
+        FaultEvent::LinkOutage {
+            a: 3,
+            b: 0,
+            from: 4,
+            until: 20,
+        },
+    ]);
+    let report = assert_lossy_matches_reference(&topo, &config, &faults, 40, 7);
+    assert!(report.dropped_fault > 0, "fixture must fault");
+}
+
+#[test]
 fn region_parallel_lossy_matches_serial_at_n1600_under_the_bench_fault_mix() {
-    // Acceptance-scale spot check for the lossy engine: one n=1600
-    // faulted ARQ run, serial counter-RNG vs region-parallel at 1/2/8
-    // threads, bit-identical reports, ledgers and manifests. (The
-    // n=100k differential lives in `scale_smoke_lossy` behind
-    // `--ignored`.)
-    set_par_min_nodes_per_worker(Some(0));
+    // Acceptance-scale spot check for the lossy kernel: one n=1600
+    // faulted ARQ run on 1/2/3/8 regions against the reference round,
+    // bit-identical reports, ledgers and manifests. (The n=100k check
+    // lives in `scale_smoke_lossy` behind `--ignored`.)
     let n = 1600;
     let side = Length::from_meters(25.0 * (n as f64).sqrt());
     let spec = FaultSpec::parse("death=0.1,outage=0.2:10,link=0.1:8").expect("bench fault mix");
     let config = LossyConfig::bruised_channel();
     let topo = Topology::random(n, side, 2003);
     let faults = spec.schedule_for(2003, n, 30);
-    let serial = lossy_observed_run(&topo, &config, &faults, 30, 2003, None);
+    let report = assert_lossy_matches_reference(&topo, &config, &faults, 30, 2003);
     assert!(
-        serial.0.delivered > 0 && serial.0.delivered < serial.0.offered,
+        report.delivered > 0 && report.delivered < report.offered,
         "the bruised channel delivers imperfectly"
     );
-    for threads in [1usize, 2, 8] {
-        let par = lossy_observed_run(&topo, &config, &faults, 30, 2003, Some(threads));
-        assert_eq!(par.0, serial.0, "report at {threads} threads");
-        assert_eq!(par.1, serial.1, "ledger at {threads} threads");
-        assert_eq!(par.2, serial.2, "manifest at {threads} threads");
-    }
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! City-scale lossy/ARQ smoke test: n = 100 000 nodes on the bruised
-//! channel, bounded in wall clock and allocations, with the
-//! region-parallel engine checked bit-exact against the serial
-//! counter-RNG kernel. `#[ignore]`d by default because the debug
+//! channel, bounded in wall clock and allocations, with the lossy
+//! kernel on 8 regions checked bit-exact against one region.
+//! `#[ignore]`d by default because the debug
 //! profile is far too slow at this size — CI runs it as
 //! `cargo test --release -- --ignored scale_smoke`, and a debug
 //! invocation that reaches it anyway skips with a note. (This binary
@@ -118,10 +118,9 @@ fn scale_smoke_lossy_100k_nodes_arq_serial_and_parallel() {
     );
     assert!(short > 0, "the counter must actually be counting");
 
-    // Region-parallel pass: the rollback-free lossy engine at 8 worker
-    // threads must reproduce the serial counter-RNG run bit for bit at
-    // city scale (n=100k clears the nodes-per-worker floor, so the
-    // engine genuinely engages at 8 threads).
+    // Region pass: the lossy kernel on 8 regions must reproduce the
+    // one-region run bit for bit at city scale (n=100k clears the
+    // nodes-per-worker floor, so 8 threads genuinely run 8 regions).
     let serial = simulate_lossy_gathering_faulted(&topo, &config, 6, 2003, &faults);
     for threads in [1usize, 8] {
         let par = simulate_lossy_gathering_faulted_par(&topo, &config, 6, 2003, &faults, threads);

@@ -188,9 +188,9 @@ impl CompiledScenario {
     ///   in seed order;
     /// * a single gathering run takes the one serial kernel (aggregated
     ///   rounds, hop-walk fallback) whatever `threads` is;
-    /// * a single lossy run hands `threads` to the region-parallel lossy
-    ///   engine, which runs serial below its nodes-per-worker floor and
-    ///   is bit-identical to the serial counter-RNG kernel above it.
+    /// * a single lossy run hands `threads` to the lossy kernel, which
+    ///   runs one region below its nodes-per-worker floor and `threads`
+    ///   regions above it, bit-identical either way.
     ///
     /// # Panics
     ///
@@ -423,8 +423,8 @@ mod tests {
         assert!(one.contains("\"scenario_hash\""));
         assert!(one.contains(&compiled.hash().to_string()));
 
-        // Force the region engine's floor to zero, so any run that could
-        // take a region-parallel path does.
+        // Force the lossy kernel's nodes-per-worker floor to zero, so
+        // any run that could take more than one region does.
         let floor = ami_net::set_par_min_nodes_per_worker(Some(0));
         let agg = ami_net::set_aggregated_rounds(Some(true));
 

@@ -65,11 +65,12 @@ use ami_core::case_studies::cs1_trace::trace_one_day;
 use ami_core::design_space::explore_cs1;
 use ami_experiments::banner;
 use ami_net::{
-    build_routes, replicate_gathering_faulted_observed_threads, set_par_min_nodes_per_worker,
-    simulate_gathering, simulate_lossy_gathering, simulate_lossy_gathering_faulted_par,
-    GatherSession, LossyConfig, LossySession, NetworkConfig, RoutingStrategy, Topology,
+    build_routes, replicate_gathering_faulted_observed_threads, simulate_gathering,
+    simulate_lossy_gathering, simulate_lossy_gathering_faulted_with, GatherSession, LossyConfig,
+    LossySession, NetworkConfig, RoutingStrategy, Topology,
 };
 use ami_sim::fault::{FaultSchedule, FaultSpec};
+use ami_sim::obs::NullRecorder;
 use ami_sim::{replicate_par, sim_rng, EnergyMeter, EventQueue};
 use ami_tech::{TechnologyNode, VariationModel};
 use ami_units::{Area, Length, Power, Temperature, TimeSpan};
@@ -256,10 +257,10 @@ fn run_net_snapshot(quick: bool) -> Vec<Entry> {
     // The city-scale `_par` rows must time the lossy kernel on more
     // than one region: at n = 10 000 the nodes-per-worker floor would
     // route an 8-worker run back to one region, turning `speedup`
-    // into a measurement of the dispatch heuristic. Results are
-    // bit-identical either way, so engagement is purely a timing
-    // concern. (Thread-local: restored before returning.)
-    let par_floor = set_par_min_nodes_per_worker(Some(0));
+    // into a measurement of the dispatch heuristic. So they run
+    // exactly `threads` regions through the generic entry point.
+    // Results are bit-identical either way, so engagement is purely a
+    // timing concern.
     for &n in &LARGE_SIZES {
         let topo = field(n);
         entries.push(measure(
@@ -315,13 +316,14 @@ fn run_net_snapshot(quick: bool) -> Vec<Entry> {
             LOSSY_ROUNDS_LARGE,
             quick,
             || {
-                black_box(simulate_lossy_gathering_faulted_par(
+                black_box(simulate_lossy_gathering_faulted_with(
                     black_box(&topo),
                     &lossy_config,
                     LOSSY_ROUNDS_LARGE,
                     SEED,
                     &FaultSchedule::empty(),
                     threads,
+                    &mut NullRecorder,
                 ));
             },
         );
@@ -330,7 +332,6 @@ fn run_net_snapshot(quick: bool) -> Vec<Entry> {
         lossy_par.cpus = Some(available_cpus());
         entries.push(lossy_par);
     }
-    set_par_min_nodes_per_worker(par_floor);
 
     // The megacity: serial rows only, one round per iteration. The
     // session warm-up pays the route build (priced by `route_build`

@@ -11,7 +11,7 @@
 //! 1. **Margin precheck (S1).** A pure read over the budgets proves the
 //!    idle charge alone empties nobody. If it would, fates can depend on
 //!    intra-round charge order, so the round falls back to the retained
-//!    hop-walk oracle before anything is touched.
+//!    hop walk before anything is touched.
 //! 2. **Traffic aggregation.** One pass over the routing forest
 //!    tallies, for every relay `v`, how many packets from sources below
 //!    `v` and above `v` arrive cleanly (fault-truncated packets stop
@@ -27,7 +27,7 @@
 //!    operation sequence the serial kernel applies — idle, then
 //!    `below`×(rx, tx), own tx, `above`×(rx, tx) — into a scratch
 //!    buffer. If any live powered cell ends at or below zero the round
-//!    is discarded untouched and the oracle re-runs it (mid-round
+//!    is discarded untouched and the hop walk re-runs it (mid-round
 //!    death makes packet fates order-dependent). Budgets only decrease
 //!    within a round, so all-positive finals prove the serial kernel
 //!    never saw an exhausted hop.
@@ -37,15 +37,17 @@
 //! packet counters per cell: ledger and counter *totals* are
 //! position-invariant, and every per-accumulator sequence is preserved.
 //!
-//! This is the only gathering round kernel, at every thread count. The
-//! hop-walk kernel is retained verbatim as its fallback and
-//! differential oracle: `AMBIENCE_AGG=0` (or
-//! [`set_aggregated_rounds`]`(Some(false))`) pins every round to it,
-//! and `tests/differential_agg.rs` pins the two kernels against each
-//! other at report, ledger and manifest level.
+//! Every gathering round, at every thread count, tries this kernel
+//! first; the budgets alone decide (through S1/S2) when a round falls
+//! back to the hop walk, which is retained verbatim for exactly that.
+//! The route arrays the passes chase are the route cache's own packed
+//! image (`parents` and `tx_costs` of
+//! [`RouteCache`](crate::routing::RouteCache)), refreshed by every
+//! build or repair. `tests/differential_agg.rs` pins the production
+//! kernel against an independent hop-by-hop reference round at report,
+//! ledger and manifest level.
 
-use crate::gather::GatherState;
-use crate::routing::PackedRoutes;
+use crate::gather::{GatherState, RoundPackets};
 use ami_sim::obs::{EnergyCategory, Recorder};
 use std::cell::Cell;
 
@@ -58,31 +60,10 @@ use std::cell::Cell;
 const STREAM_VALUE_CAP: usize = 24 << 20;
 
 thread_local! {
-    /// Per-thread override of the `AMBIENCE_AGG` kill switch.
-    static AGG_OVERRIDE: Cell<Option<bool>> = const { Cell::new(None) };
     /// Rounds committed by the aggregated kernel on this thread.
     static AGG_ENGAGED: Cell<u64> = const { Cell::new(0) };
-    /// Rounds the margin checks handed back to the hop-walk oracle.
+    /// Rounds the margin checks handed back to the hop-walk fallback.
     static AGG_FALLBACKS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Overrides the `AMBIENCE_AGG` environment switch for this thread
-/// (`Some(false)` pins every round to the hop-walk oracle, `Some(true)`
-/// force-enables, `None` defers to the environment). Returns the
-/// previous override, mirroring
-/// [`crate::lossy::set_par_min_nodes_per_worker`].
-pub fn set_aggregated_rounds(enabled: Option<bool>) -> Option<bool> {
-    AGG_OVERRIDE.with(|c| c.replace(enabled))
-}
-
-/// Whether the aggregated kernel may run rounds on this thread.
-/// Defaults to enabled; `AMBIENCE_AGG=0` disables it process-wide.
-/// Each run reads this once, when it starts.
-pub fn aggregated_rounds_enabled() -> bool {
-    if let Some(forced) = AGG_OVERRIDE.with(Cell::get) {
-        return forced;
-    }
-    std::env::var("AMBIENCE_AGG").map_or(true, |v| v != "0")
 }
 
 /// Rounds this thread committed through the aggregated kernel.
@@ -90,7 +71,7 @@ pub fn agg_engaged_count() -> u64 {
     AGG_ENGAGED.with(Cell::get)
 }
 
-/// Rounds this thread's margin checks returned to the hop-walk oracle.
+/// Rounds this thread's margin checks returned to the hop-walk fallback.
 pub fn agg_fallback_count() -> u64 {
     AGG_FALLBACKS.with(Cell::get)
 }
@@ -113,14 +94,10 @@ pub(crate) fn note_fallback() {
 /// (or once per [`crate::GatherSession`], surviving across runs) and
 /// reused by every round, so the round loop stays allocation-steady.
 ///
-/// All hot state is struct-of-arrays: the packed route arrays
-/// (`parent`/`tx`) give the traffic pass 4-byte next-hop fetches
-/// instead of 16-byte `Option<NodeId>` reads, and the transit tallies
+/// All hot state is struct-of-arrays: the transit tallies
 /// (`below`/`above`) plus the charge scratch (`finals`) are the flat
 /// per-node columns the per-cell replay streams through.
 pub(crate) struct AggScratch {
-    /// Packed next-hop / tx-cost arrays, refreshed per route epoch.
-    routes: PackedRoutes,
     /// Clean transit arrivals at each node from sources with smaller /
     /// larger ids — the position split the per-cell fold needs because
     /// the node's own transmission sits between the two groups.
@@ -151,7 +128,6 @@ pub(crate) struct AggScratch {
 impl AggScratch {
     pub(crate) fn new(nodes: usize) -> Self {
         Self {
-            routes: PackedRoutes::new(nodes),
             below: vec![0; nodes],
             above: vec![0; nodes],
             finals: vec![0.0; nodes],
@@ -188,14 +164,12 @@ impl GatherState<'_> {
         scratch: &mut AggScratch,
         recorder: &mut R,
     ) {
-        if self.aggregated {
-            if self.try_aggregated_round(scratch, recorder) {
-                note_engaged();
-                return;
-            }
+        if self.try_aggregated_round(scratch, recorder) {
+            note_engaged();
+        } else {
             note_fallback();
+            self.idle_and_send(recorder);
         }
-        self.idle_and_send(recorder);
     }
 
     /// Attempts one aggregated round. Returns `false` — with the state
@@ -213,7 +187,7 @@ impl GatherState<'_> {
         // zero. Same rounding as the serial debit: one subtraction.
         let mut powered = 0u64;
         for v in 1..n {
-            if self.alive[v] && !self.down_now[v] {
+            if self.alive[v] && !self.frame.down_now[v] {
                 if self.budget[v] - idle <= 0.0 {
                     return false;
                 }
@@ -221,10 +195,7 @@ impl GatherState<'_> {
             }
         }
 
-        let epoch = self.cache.epoch();
-        if scratch.routes.ensure(&self.cache) {
-            scratch.image_epoch = None;
-        }
+        let epoch = self.frame.cache.epoch();
 
         // The spent fold continues from the live accumulator in serial
         // charge order: the round's idle debits first, then the send
@@ -233,7 +204,7 @@ impl GatherState<'_> {
         for _ in 0..powered {
             spent += idle;
         }
-        if !self.faults_active && scratch.image_epoch == Some(epoch) {
+        if !self.frame.faults_active && scratch.image_epoch == Some(epoch) {
             // Fault-free steady state: fates, tallies and the value
             // stream are round-constant within a route epoch, so the
             // whole walk collapses to one flat sequential fold. The
@@ -265,9 +236,12 @@ impl GatherState<'_> {
     /// for the epoch.
     fn walk_and_tally(&self, scratch: &mut AggScratch, epoch: u64, mut spent: f64) -> f64 {
         let n = self.topology.len();
-        let sink = self.sink.0 as u32;
+        let sink = self.topology.sink().0 as u32;
         let rx = self.rx_per_hop;
-        let connected = self.cache.connected_flags();
+        let frame = &self.frame;
+        let connected = frame.cache.connected_flags();
+        let parent = frame.cache.parents();
+        let tx_costs = frame.cache.tx_costs();
 
         scratch.below[..n].fill(0);
         scratch.above[..n].fill(0);
@@ -275,25 +249,22 @@ impl GatherState<'_> {
         // Record the stream only once the epoch's hop count is known to
         // fit the cap (the first walk of an epoch probes it), so large
         // runs never transiently allocate an over-cap buffer.
-        let record = !self.faults_active
+        let record = !frame.faults_active
             && scratch.hops_epoch == Some(epoch)
             && scratch.hops <= STREAM_VALUE_CAP as u64;
         if record {
             scratch.stream.reserve_exact(scratch.hops as usize);
         }
-        // Split the scratch into disjoint field borrows so the route
-        // reads and the tally/stream writes carry distinct noalias
-        // pointers — one struct-wide borrow would serialize every
-        // `parent` load behind every tally store.
+        // Split the scratch into disjoint field borrows so the tally and
+        // stream writes carry distinct noalias pointers — one
+        // struct-wide borrow would serialize every tally store behind
+        // every stream push.
         let AggScratch {
-            routes,
             below,
             above,
             stream,
             ..
         } = scratch;
-        let parent = routes.parent.as_slice();
-        let tx_costs = routes.tx.as_slice();
         let below = below.as_mut_slice();
         let above = above.as_mut_slice();
 
@@ -303,7 +274,7 @@ impl GatherState<'_> {
         let mut disconnected = 0u64;
         let mut faulted = 0u64;
         for (src, &conn) in connected.iter().enumerate().take(n).skip(1) {
-            if !self.alive[src] || self.down_now[src] {
+            if !self.alive[src] || frame.down_now[src] {
                 continue;
             }
             senders += 1;
@@ -324,9 +295,9 @@ impl GatherState<'_> {
                 if record {
                     stream.push(tx);
                 }
-                if self.faults_active
-                    && ((hop != sink && self.down_now[hop as usize])
-                        || self.timeline.link_down(fu, hop as usize))
+                if frame.faults_active
+                    && ((hop != sink && frame.down_now[hop as usize])
+                        || frame.timeline.link_down(fu, hop as usize))
                 {
                     faulted += 1;
                     break;
@@ -367,10 +338,11 @@ impl GatherState<'_> {
         let n = self.topology.len();
         let idle = self.idle_per_round;
         let rx = self.rx_per_hop;
-        let connected = self.cache.connected_flags();
+        let connected = self.frame.cache.connected_flags();
+        let tx_costs = self.frame.cache.tx_costs();
         scratch.finals.copy_from_slice(&self.budget);
         for (v, &conn) in connected.iter().enumerate().take(n).skip(1) {
-            if !self.alive[v] || self.down_now[v] {
+            if !self.alive[v] || self.frame.down_now[v] {
                 // Powered-off or dead: no idle, no send, and the walk
                 // never tallies arrivals into such a node.
                 debug_assert_eq!(scratch.below[v] + scratch.above[v], 0);
@@ -378,7 +350,7 @@ impl GatherState<'_> {
             }
             let b = scratch.below[v];
             let a = scratch.above[v];
-            let tx = scratch.routes.tx[v];
+            let tx = tx_costs[v];
             let mut cell = scratch.finals[v];
             cell -= idle;
             for _ in 0..b {
@@ -411,25 +383,41 @@ impl GatherState<'_> {
         recorder: &mut R,
     ) {
         let n = self.topology.len();
+        // S2 proved no hop exhausted mid-round, so no packet can have
+        // stopped at a dead hop.
+        let packets = RoundPackets {
+            offered: scratch.senders,
+            delivered: scratch.delivered,
+            dead_hop: 0,
+            disconnected: scratch.disconnected,
+            fault: scratch.faulted,
+        };
+        packets.debug_assert_conserved();
+        debug_assert_eq!(
+            packets.dead_hop, 0,
+            "aggregated round lost a dead-hop packet"
+        );
         std::mem::swap(&mut self.budget, &mut scratch.finals);
         self.spent = spent;
-        self.delivered += scratch.delivered;
+        self.delivered += packets.delivered;
 
         let idle = self.idle_per_round;
         let rx = self.rx_per_hop;
-        let connected = self.cache.connected_flags();
+        let frame = &self.frame;
+        let connected = frame.cache.connected_flags();
+        let tx_costs = frame.cache.tx_costs();
         for v in 1..n {
-            if self.alive[v] && !self.down_now[v] {
+            if self.alive[v] && !frame.down_now[v] {
                 recorder.charge(v, EnergyCategory::Idle, idle);
             }
         }
         for (v, &conn) in connected.iter().enumerate().take(n).skip(1) {
-            if !self.alive[v] || self.down_now[v] {
+            if !self.alive[v] || frame.down_now[v] {
                 continue;
             }
             let relayed = scratch.below[v] + scratch.above[v];
             let tx_count = relayed + u32::from(conn);
-            let tx = scratch.routes.tx[v];
+            let tx = tx_costs[v];
             for _ in 0..tx_count {
                 recorder.charge(v, EnergyCategory::Tx, tx);
             }
@@ -437,9 +425,9 @@ impl GatherState<'_> {
                 recorder.charge(v, EnergyCategory::RxRelay, rx);
             }
         }
-        recorder.packets_offered(scratch.senders);
-        recorder.packets_dropped_disconnected(scratch.disconnected);
-        recorder.packets_delivered(scratch.delivered);
-        recorder.packets_dropped_fault(scratch.faulted);
+        recorder.packets_offered(packets.offered);
+        recorder.packets_dropped_disconnected(packets.disconnected);
+        recorder.packets_delivered(packets.delivered);
+        recorder.packets_dropped_fault(packets.fault);
     }
 }

@@ -236,15 +236,14 @@ impl CsrAdjacency {
     }
 }
 
-/// A partition of the node id space into contiguous regions for
-/// intra-run parallel execution.
+/// A partition of the node id space into contiguous regions for the
+/// lossy kernel's region walks.
 ///
 /// Regions are **ascending contiguous id ranges**: region `r` owns ids
 /// `range(r)`, and `r < s` implies every id of `r` precedes every id of
-/// `s`. That makes the PDES merge contract trivial — folding regions in
+/// `s`. That makes the merge contract trivial — folding regions in
 /// region-id order, nodes in node-id order, is exactly ascending global
-/// node id, the order the serial kernel charges in — and lets workers
-/// take disjoint `&mut` slices of per-node state without locks.
+/// node id, the order a one-region run commits in.
 ///
 /// [`balanced`](Self::balanced) places the cut points using the same
 /// spatial grid the CSR construction buckets with: each node is
@@ -253,7 +252,7 @@ impl CsrAdjacency {
 /// instead of raw node counts, so a dense downtown cell does not pin
 /// one region while suburban regions idle.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RegionPartition {
+pub(crate) struct RegionPartition {
     /// `bounds[r]..bounds[r + 1]` is region `r`; `bounds[0] == 0` and
     /// `bounds[regions] == n`.
     bounds: Vec<u32>,
@@ -266,7 +265,7 @@ impl RegionPartition {
     /// # Panics
     ///
     /// Panics if `regions` is 0 or `n` exceeds `u32::MAX`.
-    pub fn contiguous(n: usize, regions: usize) -> Self {
+    pub(crate) fn contiguous(n: usize, regions: usize) -> Self {
         assert!(regions > 0, "at least one region");
         assert!(u32::try_from(n).is_ok(), "region ids are u32");
         let mut bounds = Vec::with_capacity(regions + 1);
@@ -288,7 +287,7 @@ impl RegionPartition {
     /// # Panics
     ///
     /// Panics if `regions` is 0 or there are more than `u32::MAX` nodes.
-    pub fn balanced(positions: &[Position], range: Length, regions: usize) -> Self {
+    pub(crate) fn balanced(positions: &[Position], range: Length, regions: usize) -> Self {
         assert!(regions > 0, "at least one region");
         let n = positions.len();
         assert!(u32::try_from(n).is_ok(), "region ids are u32");
@@ -360,29 +359,13 @@ impl RegionPartition {
         Self { bounds }
     }
 
-    /// Number of regions (some may be empty).
-    pub fn regions(&self) -> usize {
-        self.bounds.len() - 1
-    }
-
     /// The id range owned by `region`.
     ///
     /// # Panics
     ///
     /// Panics if `region` is out of range.
-    pub fn range(&self, region: usize) -> std::ops::Range<usize> {
+    pub(crate) fn range(&self, region: usize) -> std::ops::Range<usize> {
         self.bounds[region] as usize..self.bounds[region + 1] as usize
-    }
-
-    /// The region owning `node`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is past the partitioned id space.
-    pub fn region_of(&self, node: usize) -> usize {
-        let n = *self.bounds.last().expect("bounds non-empty") as usize;
-        assert!(node < n, "node {node} outside the partitioned ids 0..{n}");
-        self.bounds.partition_point(|&b| b as usize <= node) - 1
     }
 }
 
@@ -419,28 +402,29 @@ mod tests {
         }
     }
 
-    fn assert_is_partition(part: &RegionPartition, n: usize) {
-        let mut covered = 0usize;
+    /// Every id in `0..n` is owned by exactly one of `regions`
+    /// ascending contiguous ranges.
+    fn assert_is_partition(part: &RegionPartition, regions: usize, n: usize) {
+        assert_eq!(part.bounds.len(), regions + 1);
+        let mut owner = vec![None; n];
         let mut prev_end = 0usize;
-        for r in 0..part.regions() {
+        for r in 0..regions {
             let range = part.range(r);
             assert_eq!(range.start, prev_end, "regions are contiguous");
             prev_end = range.end;
-            for id in range.clone() {
-                assert_eq!(part.region_of(id), r);
+            for id in range {
+                assert_eq!(owner[id].replace(r), None, "id {id} owned twice");
             }
-            covered += range.len();
         }
-        assert_eq!(covered, n, "every id owned exactly once");
         assert_eq!(prev_end, n);
+        assert!(owner.iter().all(Option::is_some), "every id owned");
     }
 
     #[test]
     fn contiguous_partition_covers_every_id() {
         for (n, regions) in [(0, 3), (1, 4), (10, 3), (97, 8), (8, 8), (5, 9)] {
             let part = RegionPartition::contiguous(n, regions);
-            assert_eq!(part.regions(), regions);
-            assert_is_partition(&part, n);
+            assert_is_partition(&part, regions, n);
             // Even split: region sizes differ by at most one.
             let sizes: Vec<usize> = (0..regions).map(|r| part.range(r).len()).collect();
             let (lo, hi) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
@@ -456,22 +440,13 @@ mod tests {
             let positions: Vec<Position> = topo.ids().map(|id| topo.position(id)).collect();
             for regions in [1, 2, 8, 16] {
                 let part = RegionPartition::balanced(&positions, range, regions);
-                assert_eq!(part.regions(), regions);
-                assert_is_partition(&part, positions.len());
+                assert_is_partition(&part, regions, positions.len());
             }
         }
         // Degenerate range falls back to the even split.
         let positions = vec![Position::new(3.0, 4.0); 12];
         let part = RegionPartition::balanced(&positions, Length::from_meters(0.0), 4);
         assert_eq!(part, RegionPartition::contiguous(12, 4));
-    }
-
-    #[test]
-    fn region_of_rejects_out_of_range_ids() {
-        let part = RegionPartition::contiguous(10, 2);
-        assert_eq!(part.region_of(9), 1);
-        let out = std::panic::catch_unwind(|| part.region_of(10));
-        assert!(out.is_err());
     }
 
     #[test]

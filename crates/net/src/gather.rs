@@ -14,10 +14,10 @@
 //! empty keeps its negative residual, and
 //! [`NetworkReport::overdraft`] totals the overshoot instead of hiding it.
 //!
-//! Every simulation entry point is generic over an
+//! Every run is a [`GatherSession`] generic over an
 //! [`ami_sim::obs::Recorder`]; [`simulate_gathering`] records nothing
-//! (zero cost), [`simulate_gathering_observed`] fills an energy ledger
-//! and packet counters.
+//! (zero cost), [`simulate_gathering_faulted_observed`] fills an energy
+//! ledger and packet counters.
 //!
 //! The `*_faulted` entry points additionally take an
 //! [`ami_sim::fault::FaultSchedule`] of exogenous failures. A fault-downed
@@ -31,10 +31,10 @@
 //! case, bit-exact with the pre-fault implementation.
 
 use crate::agg::AggScratch;
-use crate::routing::{RouteCache, RoutingStrategy};
-use crate::topology::{NodeId, Topology};
+use crate::routing::{RoundFrame, RouteCache, RoutingStrategy};
+use crate::topology::Topology;
 use ami_radio::{Packet, RadioEnergyModel};
-use ami_sim::fault::{FaultSchedule, FaultTimeline};
+use ami_sim::fault::FaultSchedule;
 use ami_sim::obs::{EnergyCategory, LedgerRecorder, NullRecorder, Recorder};
 use ami_units::{DataVolume, Energy, EnergyPerBit, Length, Power, TimeSpan};
 use serde::{Deserialize, Serialize};
@@ -134,7 +134,7 @@ impl NetworkReport {
 }
 
 /// Runs `rounds` reporting rounds of `topology` under `strategy`,
-/// recording nothing. See [`simulate_gathering_faulted_with`].
+/// recording nothing. See [`GatherSession::run_faulted_with`].
 ///
 /// # Panics
 ///
@@ -148,24 +148,8 @@ pub fn simulate_gathering(
     simulate_gathering_faulted(topology, strategy, config, rounds, &FaultSchedule::empty())
 }
 
-/// [`simulate_gathering`] with a [`LedgerRecorder`] attached: returns
-/// the report plus the per-node energy ledger (rows indexed by raw node
-/// id — the sink's row 0 stays zero) and end-to-end packet counters.
-///
-/// # Panics
-///
-/// Panics if `rounds` is zero.
-pub fn simulate_gathering_observed(
-    topology: &Topology,
-    strategy: RoutingStrategy,
-    config: &NetworkConfig,
-    rounds: u64,
-) -> (NetworkReport, LedgerRecorder) {
-    simulate_gathering_faulted_observed(topology, strategy, config, rounds, &FaultSchedule::empty())
-}
-
 /// [`simulate_gathering`] under an exogenous [`FaultSchedule`],
-/// recording nothing. See [`simulate_gathering_faulted_with`].
+/// recording nothing. See [`GatherSession::run_faulted_with`].
 ///
 /// # Panics
 ///
@@ -177,10 +161,7 @@ pub fn simulate_gathering_faulted(
     rounds: u64,
     faults: &FaultSchedule,
 ) -> NetworkReport {
-    simulate_gathering_faulted_with(
-        topology,
-        strategy,
-        config,
+    GatherSession::new(topology, strategy, config).run_faulted_with(
         rounds,
         faults,
         &mut NullRecorder,
@@ -188,7 +169,9 @@ pub fn simulate_gathering_faulted(
 }
 
 /// [`simulate_gathering_faulted`] with a [`LedgerRecorder`] attached:
-/// fault-caused losses land in the recorder's `dropped_fault` counter.
+/// returns the report plus the per-node energy ledger (rows indexed by
+/// raw node id — the sink's row 0 stays zero) and end-to-end packet
+/// counters; fault-caused losses land in the `dropped_fault` counter.
 ///
 /// # Panics
 ///
@@ -201,8 +184,11 @@ pub fn simulate_gathering_faulted_observed(
     faults: &FaultSchedule,
 ) -> (NetworkReport, LedgerRecorder) {
     let mut recorder = LedgerRecorder::with_nodes(topology.len());
-    let report =
-        simulate_gathering_faulted_with(topology, strategy, config, rounds, faults, &mut recorder);
+    let report = GatherSession::new(topology, strategy, config).run_faulted_with(
+        rounds,
+        faults,
+        &mut recorder,
+    );
     (report, recorder)
 }
 
@@ -214,46 +200,51 @@ pub(crate) enum PacketFate {
     Fault,
 }
 
-/// The per-run state of the gathering kernel, with the round split into
-/// its phases: [`begin_round`](Self::begin_round) (fault refresh +
-/// route re-resolution), [`idle_and_send`](Self::idle_and_send) (the
-/// serial charge loops), [`end_round`](Self::end_round) (death sweep)
-/// and [`finish`](Self::finish) (residuals + report).
-///
-/// [`GatherSession`] drives these phases in a plain loop with
-/// `round_charges` in the middle: the aggregated kernel of
-/// [`crate::agg`], which falls back to `idle_and_send` — op for op the
-/// historical implementation — whenever its energy-margin validation
-/// fails. This is the one gathering
-/// kernel at every thread count.
+/// One round's packet fates, tallied by whichever path ran the round.
+/// Every offered packet ends in exactly one fate; debug builds check
+/// that on every round of both paths.
+#[derive(Debug, Default)]
+pub(crate) struct RoundPackets {
+    pub(crate) offered: u64,
+    pub(crate) delivered: u64,
+    pub(crate) dead_hop: u64,
+    pub(crate) disconnected: u64,
+    pub(crate) fault: u64,
+}
+
+impl RoundPackets {
+    /// Packet conservation for the round: offered = delivered +
+    /// dead_hop + disconnected + fault.
+    pub(crate) fn debug_assert_conserved(&self) {
+        debug_assert_eq!(
+            self.offered,
+            self.delivered + self.dead_hop + self.disconnected + self.fault,
+            "round packets not conserved: {self:?}"
+        );
+    }
+}
+
+/// The per-run state of the gathering kernel: the shared
+/// [`RoundFrame`] (fault advance + route epoch) plus what only
+/// gathering has — energy budgets, the death sweep, the hop walk and
+/// the report. [`GatherSession`] drives each round as
+/// `frame.begin` → `round_charges` → [`end_round`](Self::end_round),
+/// then [`finish`](Self::finish). `round_charges` is the aggregated
+/// kernel of [`crate::agg`], which falls back to
+/// [`idle_and_send`](Self::idle_and_send) — op for op the historical
+/// implementation — whenever its energy-margin validation fails.
 pub(crate) struct GatherState<'a> {
+    pub(crate) frame: RoundFrame<'a>,
     pub(crate) topology: &'a Topology,
-    pub(crate) strategy: RoutingStrategy,
     pub(crate) config: &'a NetworkConfig,
-    pub(crate) sink: NodeId,
-    /// Bits per report packet (routing metric + rx cost driver).
-    pub(crate) bits: DataVolume,
     /// Joules of idle listening per round per powered node.
     pub(crate) idle_per_round: f64,
     /// Joules to receive one packet (distance-independent).
     pub(crate) rx_per_hop: f64,
-    pub(crate) faults_active: bool,
-    /// Whether rounds try the aggregated kernel first, read once from
-    /// [`aggregated_rounds_enabled`](crate::agg::aggregated_rounds_enabled)
-    /// when the run starts.
-    pub(crate) aggregated: bool,
-    pub(crate) timeline: FaultTimeline,
     /// Remaining budget per node, joules (unclamped).
     pub(crate) budget: Vec<f64>,
     /// Budget-alive flags (exogenous downs are *not* deaths).
     pub(crate) alive: Vec<bool>,
-    /// Fault-down state this round / last round (one-round routing lag).
-    pub(crate) down_now: Vec<bool>,
-    pub(crate) down_prev: Vec<bool>,
-    /// The node set routing can see, rebuilt when `routes_dirty`.
-    pub(crate) usable: Vec<bool>,
-    pub(crate) cache: RouteCache,
-    pub(crate) routes_dirty: bool,
     pub(crate) delivered: u64,
     /// Total energy drawn from sensor budgets, folded in charge order.
     pub(crate) spent: f64,
@@ -280,80 +271,42 @@ impl<'a> GatherState<'a> {
                 }
             })
             .collect();
+        let bits = config.packet.total_bits();
         Self {
+            frame: RoundFrame::new(
+                topology,
+                strategy,
+                &config.radio,
+                config.max_hop,
+                bits,
+                faults,
+                cache,
+            ),
             topology,
-            strategy,
             config,
-            sink,
-            bits: config.packet.total_bits(),
             idle_per_round: (config.idle_power * config.report_interval).as_joules(),
             // Receive energy is distance-independent: one value serves
             // every hop.
-            rx_per_hop: config
-                .radio
-                .receive_energy(config.packet.total_bits())
-                .as_joules(),
-            faults_active: !faults.is_empty(),
-            aggregated: crate::agg::aggregated_rounds_enabled(),
-            // The compiled timeline answers per-round down queries in
-            // O(1) instead of scanning the event list; its cursor
-            // advances with the round loop and allocates nothing.
-            timeline: FaultTimeline::compile(faults, n),
+            rx_per_hop: config.radio.receive_energy(bits).as_joules(),
             budget,
             alive: vec![true; n],
-            down_now: vec![false; n],
-            down_prev: vec![false; n],
-            usable: vec![true; n],
-            cache,
-            // Usable-set epoch: routes re-resolve only on rounds where a
-            // death or a fault transition actually changed what routing
-            // can see. Starts dirty so the first round performs the
-            // (single) healthy build.
-            routes_dirty: true,
             delivered: 0,
             spent: 0.0,
             first_death: None,
         }
     }
 
-    /// Fault-state refresh and (if dirty) route re-resolution — the
-    /// start-of-round phase of every gathering round.
-    pub(crate) fn begin_round(&mut self, round: u64) {
-        if self.faults_active {
-            self.timeline.advance_to(round);
-            for (id, down) in self.down_now.iter_mut().enumerate() {
-                *down = id != self.sink.0 && self.timeline.node_down(id);
-            }
-        }
-
-        // Re-resolve routes when the usable set routing can see (one
-        // round behind on faults) has changed — deaths, outage starts
-        // noticed a round late, reboots rejoining.
-        if self.routes_dirty {
-            for (id, flag) in self.usable.iter_mut().enumerate() {
-                *flag = id == self.sink.0 || (self.alive[id] && !self.down_prev[id]);
-            }
-            self.cache.ensure(
-                self.topology,
-                self.strategy,
-                &self.config.radio,
-                self.config.max_hop,
-                self.bits,
-                &self.usable,
-            );
-            self.routes_dirty = false;
-        }
-    }
-
     /// The serial mid-round phase: idle charges, then one report per
     /// live, funded, powered-on node, walked hop by hop with per-hop
-    /// exhaustion checks. This is the pinned oracle the aggregated
-    /// kernel must match bit for bit (and falls back to on rounds its
-    /// energy-margin validation rejects).
+    /// exhaustion checks: the historical round, which the aggregated
+    /// kernel matches bit for bit and falls back to on rounds its
+    /// energy-margin validation rejects.
     pub(crate) fn idle_and_send<R: Recorder>(&mut self, recorder: &mut R) {
+        let sink = self.topology.sink();
+        let frame = &self.frame;
         // Idle/listening cost for every live, powered-on sensor node.
         for id in self.topology.sensor_ids() {
-            if self.alive[id.0] && !self.down_now[id.0] {
+            if self.alive[id.0] && !frame.down_now[id.0] {
                 self.budget[id.0] -= self.idle_per_round;
                 self.spent += self.idle_per_round;
                 recorder.charge(id.0, EnergyCategory::Idle, self.idle_per_round);
@@ -363,12 +316,15 @@ impl<'a> GatherState<'a> {
         // Each live, still-funded, powered-on node reports once. (The
         // idle charge above may have emptied a budget; such a node is
         // silent this round and will be buried by the sweep below.)
+        let mut packets = RoundPackets::default();
         for id in self.topology.sensor_ids() {
-            if !self.alive[id.0] || self.budget[id.0] <= 0.0 || self.down_now[id.0] {
+            if !self.alive[id.0] || self.budget[id.0] <= 0.0 || frame.down_now[id.0] {
                 continue;
             }
+            packets.offered += 1;
             recorder.packet_offered();
-            if !self.cache.is_connected(id) {
+            if !frame.cache.is_connected(id) {
+                packets.disconnected += 1;
                 recorder.packet_dropped_disconnected();
                 continue; // disconnected this round
             }
@@ -378,19 +334,18 @@ impl<'a> GatherState<'a> {
             // run out mid-round, or gone down to a fault.
             let mut from = id;
             let mut fate = PacketFate::Delivered;
-            while from != self.sink {
-                let hop = self
+            while from != sink {
+                let hop = frame
                     .cache
                     .next_hop(from)
                     .expect("connected route reaches the sink");
                 let from_down = !self.alive[from.0] || self.budget[from.0] <= 0.0;
-                let hop_down =
-                    hop != self.sink && (!self.alive[hop.0] || self.budget[hop.0] <= 0.0);
+                let hop_down = hop != sink && (!self.alive[hop.0] || self.budget[hop.0] <= 0.0);
                 if from_down || hop_down {
                     fate = PacketFate::DeadHop;
                     break;
                 }
-                let tx = self.cache.tx_cost(from);
+                let tx = frame.cache.tx_cost(from);
                 self.budget[from.0] -= tx;
                 self.spent += tx;
                 recorder.charge(from.0, EnergyCategory::Tx, tx);
@@ -398,13 +353,12 @@ impl<'a> GatherState<'a> {
                 // still costs the sender its transmission — it cannot
                 // know in advance — but nothing arrives and the downed
                 // receiver spends nothing.
-                if (hop != self.sink && self.down_now[hop.0])
-                    || self.timeline.link_down(from.0, hop.0)
+                if (hop != sink && frame.down_now[hop.0]) || frame.timeline.link_down(from.0, hop.0)
                 {
                     fate = PacketFate::Fault;
                     break;
                 }
-                if hop != self.sink {
+                if hop != sink {
                     self.budget[hop.0] -= self.rx_per_hop;
                     self.spent += self.rx_per_hop;
                     recorder.charge(hop.0, EnergyCategory::RxRelay, self.rx_per_hop);
@@ -413,18 +367,26 @@ impl<'a> GatherState<'a> {
             }
             match fate {
                 PacketFate::Delivered => {
-                    self.delivered += 1;
+                    packets.delivered += 1;
                     recorder.packet_delivered();
                 }
-                PacketFate::DeadHop => recorder.packet_dropped_dead_hop(),
-                PacketFate::Fault => recorder.packet_dropped_fault(),
+                PacketFate::DeadHop => {
+                    packets.dead_hop += 1;
+                    recorder.packet_dropped_dead_hop();
+                }
+                PacketFate::Fault => {
+                    packets.fault += 1;
+                    recorder.packet_dropped_fault();
+                }
             }
         }
+        packets.debug_assert_conserved();
+        self.delivered += packets.delivered;
     }
 
-    /// End-of-round sweep of every gathering round: bury the
-    /// budget-dead, mark the route epoch dirty on any visible
-    /// transition, and age the fault-down state by one round.
+    /// End-of-round phase of every gathering round: bury the
+    /// budget-dead (a death dirties the route epoch), then let the
+    /// frame notice fault transitions and age the down flags.
     pub(crate) fn end_round(&mut self, round: u64) {
         // Bury the budget-dead; the route re-resolution at the top of
         // the next round folds them (and this round's fault-downs) in.
@@ -432,13 +394,10 @@ impl<'a> GatherState<'a> {
             if self.alive[id.0] && self.budget[id.0] <= 0.0 {
                 self.alive[id.0] = false;
                 self.first_death.get_or_insert(round + 1);
-                self.routes_dirty = true;
+                self.frame.routes_dirty = true;
             }
         }
-        if self.faults_active && self.down_now != self.down_prev {
-            self.routes_dirty = true;
-        }
-        std::mem::swap(&mut self.down_prev, &mut self.down_now);
+        self.frame.end();
     }
 
     /// Residual recording and the final report.
@@ -461,7 +420,7 @@ impl<'a> GatherState<'a> {
             alive_nodes: self
                 .topology
                 .sensor_ids()
-                .filter(|id| self.alive[id.0] && !self.timeline.node_down(id.0))
+                .filter(|id| self.alive[id.0] && !self.frame.timeline.node_down(id.0))
                 .count(),
             residual_energy: self
                 .budget
@@ -472,49 +431,6 @@ impl<'a> GatherState<'a> {
             rounds,
         }
     }
-}
-
-/// Runs `rounds` reporting rounds of `topology` under `strategy` and
-/// the exogenous `faults` schedule, charging every event through
-/// `recorder` — a [`GatherSession`] used once.
-///
-/// Routes are rebuilt over the surviving nodes whenever a node dies.
-/// A node participates (sends, relays) only while its budget is
-/// positive: exhaustion stops it at the very next hop, so a depleted
-/// relay cannot keep forwarding traffic for free until the end-of-round
-/// death sweep. Packets that abort on an exhausted hop count as
-/// `dropped_dead_hop`; packets generated with no route to the sink
-/// count as `dropped_disconnected`.
-///
-/// Fault semantics, chosen so the empty schedule degenerates bit-exactly
-/// to the unfaulted run:
-///
-/// * a fault-downed node (death or mid-outage) is powered off: no idle
-///   charge, no report, no relaying; its remaining budget survives a
-///   transient outage;
-/// * routing observes fault state with a **one-round lag** — the network
-///   cannot know a relay died until traffic through it fails — and then
-///   re-resolves next hops over the usable nodes instead of panicking;
-/// * a packet that hits a freshly downed relay or a downed link burns
-///   the sender's transmit energy (the sender cannot know), charges the
-///   downed receiver nothing, and drops as `dropped_fault`;
-/// * capacity-fade events scale the node's *initial* budget;
-/// * budget exhaustion keeps its existing semantics: per-hop stop,
-///   `dropped_dead_hop` attribution, and `first_death_round` counts
-///   energy deaths only (exogenous faults are not "lifetime").
-///
-/// # Panics
-///
-/// Panics if `rounds` is zero.
-pub fn simulate_gathering_faulted_with<R: Recorder>(
-    topology: &Topology,
-    strategy: RoutingStrategy,
-    config: &NetworkConfig,
-    rounds: u64,
-    faults: &FaultSchedule,
-    recorder: &mut R,
-) -> NetworkReport {
-    GatherSession::new(topology, strategy, config).run_faulted_with(rounds, faults, recorder)
 }
 
 /// [`simulate_gathering_faulted_observed`] under its former
@@ -538,8 +454,8 @@ pub fn simulate_gathering_faulted_observed_par(
 }
 
 /// A reusable gathering harness: routes are resolved once and kept warm
-/// across runs, together with the aggregated kernel's scratch (packed
-/// route arrays and, on fault-free epochs, the memoized charge stream).
+/// across runs, together with the aggregated kernel's scratch (per-node
+/// tallies and, on fault-free epochs, the memoized charge stream).
 ///
 /// The one-shot entry points are a session used once, so they pay one
 /// route build per call; a kept session pays it once and then measures
@@ -581,9 +497,37 @@ impl<'a> GatherSession<'a> {
         self.run_faulted_with(rounds, &FaultSchedule::empty(), &mut NullRecorder)
     }
 
-    /// Runs `rounds` rounds under `faults` from a fresh network state,
-    /// charging every event through `recorder`. Bit-identical to
-    /// [`simulate_gathering_faulted_with`].
+    /// Runs `rounds` reporting rounds under the exogenous `faults`
+    /// schedule from a fresh network state, charging every event
+    /// through `recorder`. Every one-shot gathering entry point is this
+    /// method on a session used once.
+    ///
+    /// Routes are rebuilt over the surviving nodes whenever a node dies.
+    /// A node participates (sends, relays) only while its budget is
+    /// positive: exhaustion stops it at the very next hop, so a depleted
+    /// relay cannot keep forwarding traffic for free until the
+    /// end-of-round death sweep. Packets that abort on an exhausted hop
+    /// count as `dropped_dead_hop`; packets generated with no route to
+    /// the sink count as `dropped_disconnected`.
+    ///
+    /// Fault semantics, chosen so the empty schedule degenerates
+    /// bit-exactly to the unfaulted run:
+    ///
+    /// * a fault-downed node (death or mid-outage) is powered off: no
+    ///   idle charge, no report, no relaying; its remaining budget
+    ///   survives a transient outage;
+    /// * routing observes fault state with a **one-round lag** — the
+    ///   network cannot know a relay died until traffic through it
+    ///   fails — and then re-resolves next hops over the usable nodes
+    ///   instead of panicking;
+    /// * a packet that hits a freshly downed relay or a downed link
+    ///   burns the sender's transmit energy (the sender cannot know),
+    ///   charges the downed receiver nothing, and drops as
+    ///   `dropped_fault`;
+    /// * capacity-fade events scale the node's *initial* budget;
+    /// * budget exhaustion keeps its existing semantics: per-hop stop,
+    ///   `dropped_dead_hop` attribution, and `first_death_round` counts
+    ///   energy deaths only (exogenous faults are not "lifetime").
     ///
     /// # Panics
     ///
@@ -595,7 +539,7 @@ impl<'a> GatherSession<'a> {
         recorder: &mut R,
     ) -> NetworkReport {
         assert!(rounds > 0, "simulate at least one round");
-        // Adopt the session's warm cache; `begin_round`'s `ensure` call
+        // Adopt the session's warm cache; the frame's `ensure` call
         // no-ops when the usable set still matches what it was built
         // over, which is what amortizes the build across runs.
         let cache = std::mem::replace(&mut self.cache, RouteCache::new(0));
@@ -607,11 +551,11 @@ impl<'a> GatherSession<'a> {
         // them from its own walks.
         self.scratch.invalidate_run_memo();
         for round in 0..rounds {
-            state.begin_round(round);
+            state.frame.begin(round, &state.alive);
             state.round_charges(&mut self.scratch, recorder);
             state.end_round(round);
         }
-        self.cache = std::mem::replace(&mut state.cache, RouteCache::new(0));
+        self.cache = std::mem::replace(&mut state.frame.cache, RouteCache::new(0));
         state.finish(rounds, recorder)
     }
 }
@@ -773,8 +717,13 @@ mod tests {
         // stale alive flag let node2's packet through, so round 1
         // delivered 2 packets instead of 1.
         let (topo, config) = relay_line(0.5);
-        let (report, obs) =
-            simulate_gathering_observed(&topo, RoutingStrategy::MinimumEnergy, &config, 5);
+        let (report, obs) = simulate_gathering_faulted_observed(
+            &topo,
+            RoutingStrategy::MinimumEnergy,
+            &config,
+            5,
+            &FaultSchedule::empty(),
+        );
         assert_eq!(report.delivered_packets, 1);
         assert_eq!(report.first_death_round, Some(1));
         assert_eq!(obs.packets.offered, 6); // node1 once, node2 every round
@@ -787,8 +736,13 @@ mod tests {
     #[test]
     fn overdraft_is_reported_not_clamped() {
         let (topo, config) = relay_line(0.5);
-        let (report, obs) =
-            simulate_gathering_observed(&topo, RoutingStrategy::MinimumEnergy, &config, 5);
+        let (report, obs) = simulate_gathering_faulted_observed(
+            &topo,
+            RoutingStrategy::MinimumEnergy,
+            &config,
+            5,
+            &FaultSchedule::empty(),
+        );
         let rx = config
             .radio
             .receive_energy(config.packet.total_bits())
@@ -812,7 +766,13 @@ mod tests {
             RoutingStrategy::MinimumEnergy,
         ] {
             let plain = simulate_gathering(&small_grid(), strategy, &config, 25);
-            let (observed, _) = simulate_gathering_observed(&small_grid(), strategy, &config, 25);
+            let (observed, _) = simulate_gathering_faulted_observed(
+                &small_grid(),
+                strategy,
+                &config,
+                25,
+                &FaultSchedule::empty(),
+            );
             assert_eq!(plain, observed);
         }
     }
@@ -822,8 +782,13 @@ mod tests {
         let mut config = NetworkConfig::sensor_default();
         config.node_energy = Energy::from_millijoules(40.0); // force deaths
         let topo = Topology::grid(4, Length::from_meters(30.0));
-        let (report, obs) =
-            simulate_gathering_observed(&topo, RoutingStrategy::MinimumEnergy, &config, 2000);
+        let (report, obs) = simulate_gathering_faulted_observed(
+            &topo,
+            RoutingStrategy::MinimumEnergy,
+            &config,
+            2000,
+            &FaultSchedule::empty(),
+        );
         let total = report.total_energy.as_joules();
         // Ledger categories partition the report's total energy.
         assert!((obs.ledger.total().as_joules() - total).abs() <= 1e-9 * total);

@@ -11,15 +11,18 @@
 //!   every transmit, relay and idle-listening joule against each node's
 //!   energy budget and reports delivered information, network lifetime
 //!   and the energy cost per delivered bit (experiments F6/A3);
-//! * [`simulate_gathering_observed`] — the same run with an
-//!   [`ami_sim::obs`] energy ledger and packet counters attached, for
-//!   per-category energy attribution and run manifests;
 //! * [`simulate_gathering_faulted`] and
 //!   [`simulate_lossy_gathering_faulted`] — the same runs under an
 //!   exogenous [`ami_sim::fault::FaultSchedule`] (node death, outages,
 //!   link outages, capacity fade); routing re-resolves around downed
-//!   nodes and fault losses are attributed to the `dropped_fault`
-//!   counter cause;
+//!   nodes one round late and fault losses are attributed to the
+//!   `dropped_fault` counter cause. Both kernels run every round inside
+//!   one fault-lagged route epoch, and both chase routes through the
+//!   route cache's own packed next-hop image;
+//! * [`simulate_gathering_faulted_observed`] — a gathering run with an
+//!   [`ami_sim::obs`] energy ledger and packet counters attached, for
+//!   per-category energy attribution and run manifests
+//!   ([`simulate_lossy_gathering_faulted_with`] takes any recorder);
 //! * [`simulate_lossy_gathering`] — gathering over lossy links with
 //!   stop-and-wait ARQ (experiment F13). One round kernel serves every
 //!   thread count: regions of the node id space walk their sources on
@@ -29,8 +32,9 @@
 //!   and the model has no energy budgets, so no rollback is needed;
 //!   [`simulate_lossy_gathering_faulted_par`] falls back to one region
 //!   below a nodes-per-worker floor, where the barrier cannot pay.
-//!   Gathering runs take the one serial kernel (aggregated rounds,
-//!   hop-walk fallback) at every thread count;
+//!   Gathering runs take the one serial kernel at every thread count:
+//!   every round tries the aggregated kernel and falls back to the hop
+//!   walk only when its budget margins say so;
 //! * [`GatherSession`] and [`LossySession`] — keep routes warm across
 //!   runs; every one-shot entry point is a session used once.
 //!
@@ -57,22 +61,17 @@ pub mod replicate;
 pub mod routing;
 pub mod topology;
 
-pub use agg::{
-    agg_engaged_count, agg_fallback_count, aggregated_rounds_enabled, reset_agg_counters,
-    set_aggregated_rounds,
-};
+pub use agg::{agg_engaged_count, agg_fallback_count, reset_agg_counters};
 pub use aggregate::{analyze_aggregation, AggregationReport};
 pub use cluster::{simulate_clustered, ClusterConfig, ClusterReport};
-pub use csr::{CsrAdjacency, RegionPartition};
+pub use csr::CsrAdjacency;
 pub use gather::{
     simulate_gathering, simulate_gathering_faulted, simulate_gathering_faulted_observed,
-    simulate_gathering_faulted_observed_par, simulate_gathering_faulted_with,
-    simulate_gathering_observed, GatherSession, NetworkConfig, NetworkReport,
+    simulate_gathering_faulted_observed_par, GatherSession, NetworkConfig, NetworkReport,
 };
 pub use lossy::{
-    par_engaged_count, par_min_nodes_per_worker, par_serial_fallback_count,
-    reset_par_engagement_counters, set_par_min_nodes_per_worker, simulate_lossy_gathering,
-    simulate_lossy_gathering_faulted, simulate_lossy_gathering_faulted_observed,
+    par_engaged_count, par_serial_fallback_count, reset_par_engagement_counters,
+    simulate_lossy_gathering, simulate_lossy_gathering_faulted,
     simulate_lossy_gathering_faulted_par, simulate_lossy_gathering_faulted_with, LossyConfig,
     LossyReport, LossySession, PAR_MIN_NODES_PER_WORKER,
 };

@@ -27,10 +27,10 @@
 //! any *other* packet executes.
 //!
 //! The round body exploits that once, for every thread count: the node
-//! id space is cut into contiguous regions
-//! ([`RegionPartition`], by the same spatial grid the CSR construction
-//! buckets with), each region walks its own sources into a private
-//! tally on an [`ami_sim::runner::RoundPool`] worker, and one commit
+//! id space is cut into contiguous regions (balanced by the same
+//! spatial grid the CSR construction buckets with), each region walks
+//! its own sources into a private tally on an
+//! [`ami_sim::runner::RoundPool`] worker, and one commit
 //! folds the tallies in ascending region order — which for contiguous
 //! id regions is ascending source id. A serial run is the same kernel
 //! with one region: `RoundPool::scoped(1)` spawns nothing and runs the
@@ -55,24 +55,30 @@
 //! Region setup, the per-round barrier and the tally merge are pure
 //! overhead on small runs, so [`simulate_lossy_gathering_faulted_par`]
 //! first checks a cheap nodes-per-worker floor
-//! ([`PAR_MIN_NODES_PER_WORKER`], overridable per thread) and runs one
-//! region when the run is too small — bit-identical results either way,
-//! observable only through
-//! [`par_serial_fallback_count`]/[`par_engaged_count`].
+//! ([`PAR_MIN_NODES_PER_WORKER`]) and runs one region when the run is
+//! too small — bit-identical results either way, observable only
+//! through [`par_serial_fallback_count`]/[`par_engaged_count`]. Callers
+//! that need exactly N regions whatever the size (benchmarks, tests)
+//! call [`simulate_lossy_gathering_faulted_with`] with `threads = N`.
+//!
+//! Faults and routes follow the same fault-lagged route epoch as
+//! gathering — one shared frame, seen here with every node alive
+//! (the lossy model has no budgets) — and the hop chase reads the route
+//! cache's packed next-hop image directly.
 //!
 //! The retired sequential-stream kernel, which drew every attempt from
 //! one `StdRng` stream and so was permanently serial, is kept as a test
 //! oracle pinned by its own frozen golden (`tests/seqstream_oracle.rs`).
 
 use crate::csr::RegionPartition;
-use crate::routing::{PackedRoutes, RouteCache, RoutingStrategy};
+use crate::routing::{RoundFrame, RouteCache, RoutingStrategy};
 use crate::topology::{NodeId, Topology};
 use ami_radio::{Packet, RadioEnergyModel, StopAndWaitArq};
 use ami_sim::fault::{FaultSchedule, FaultTimeline};
-use ami_sim::obs::{EnergyCategory, LedgerRecorder, NullRecorder, Recorder};
+use ami_sim::obs::{EnergyCategory, NullRecorder, Recorder};
 use ami_sim::rng::packet_rng;
 use ami_sim::runner::RoundPool;
-use ami_units::{DataVolume, Energy, EnergyPerBit, Length};
+use ami_units::{Energy, EnergyPerBit, Length};
 use rand::RngExt;
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
@@ -155,7 +161,7 @@ impl LossyReport {
     }
 }
 
-/// Default floor on nodes-per-worker below which
+/// Floor on nodes-per-worker below which
 /// [`simulate_lossy_gathering_faulted_par`] runs one region instead of
 /// spinning up workers: below city scale the per-round barrier and
 /// merge overhead outweigh the work (BENCH_NET measured speedups under
@@ -164,25 +170,8 @@ impl LossyReport {
 pub const PAR_MIN_NODES_PER_WORKER: usize = 4096;
 
 thread_local! {
-    static PAR_MIN_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
     static PAR_FALLBACKS: Cell<u64> = const { Cell::new(0) };
     static PAR_ENGAGED: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Overrides [`PAR_MIN_NODES_PER_WORKER`] on this thread (`Some(0)`
-/// forces more than one region whenever more than one worker is asked
-/// for, `None` restores the default). Returns the previous override so
-/// callers can scope it. Benchmarks force-engage so `_par` rows measure
-/// many regions, not the one-region fallback.
-pub fn set_par_min_nodes_per_worker(min: Option<usize>) -> Option<usize> {
-    PAR_MIN_OVERRIDE.with(|cell| cell.replace(min))
-}
-
-/// The effective nodes-per-worker floor on this thread.
-pub fn par_min_nodes_per_worker() -> usize {
-    PAR_MIN_OVERRIDE
-        .with(Cell::get)
-        .unwrap_or(PAR_MIN_NODES_PER_WORKER)
 }
 
 /// How many [`simulate_lossy_gathering_faulted_par`] calls on this
@@ -367,25 +356,18 @@ fn walk_packet(
 }
 
 /// Run state of the lossy kernel: round-constant channel parameters,
-/// fault and route state, and the run totals the commit folds into.
+/// the shared fault/route frame, and the run totals the commit folds
+/// into.
 struct LossyState<'a> {
+    frame: RoundFrame<'a>,
     topology: &'a Topology,
     config: &'a LossyConfig,
-    sink: NodeId,
     seed: u64,
     p_hop: f64,
-    bits: DataVolume,
     rx: f64,
-    faults_active: bool,
-    timeline: FaultTimeline,
-    down_now: Vec<bool>,
-    down_prev: Vec<bool>,
-    usable: Vec<bool>,
-    cache: RouteCache,
-    /// Flat next-hop/cost image of `cache`, refreshed when the cache
-    /// epoch moves; the hop chase reads these, not the cache.
-    packed: PackedRoutes,
-    routes_dirty: bool,
+    /// The frame's budget-alive view: the lossy model has no budgets,
+    /// so every node stays alive and only faults move routes.
+    alive: Vec<bool>,
     offered: u64,
     delivered: u64,
     transmissions: u64,
@@ -400,36 +382,30 @@ impl<'a> LossyState<'a> {
         seed: u64,
         faults: &FaultSchedule,
         cache: RouteCache,
-        packed: PackedRoutes,
     ) -> Self {
         assert!(
             (0.0..=0.5).contains(&config.ber),
             "BER must lie in [0, 0.5]"
         );
-        let n = topology.len();
         let bits = config.packet.total_bits();
         Self {
+            frame: RoundFrame::new(
+                topology,
+                RoutingStrategy::MinimumEnergy,
+                &config.radio,
+                config.max_hop,
+                bits,
+                faults,
+                cache,
+            ),
             topology,
             config,
-            sink: topology.sink(),
             seed,
             p_hop: config.packet.delivery_probability(config.ber),
-            bits,
             // Receive energy is distance-independent: one value serves
             // every hop.
             rx: config.radio.receive_energy(bits).as_joules(),
-            faults_active: !faults.is_empty(),
-            // Compiled down/link windows: O(1) per query instead of an
-            // event scan, cursor advanced once per round.
-            timeline: FaultTimeline::compile(faults, n),
-            down_now: vec![false; n],
-            down_prev: vec![false; n],
-            usable: vec![true; n],
-            cache,
-            packed,
-            // Starts dirty so the first round adopts (or builds) routes
-            // over the full node set.
-            routes_dirty: true,
+            alive: vec![true; topology.len()],
             offered: 0,
             delivered: 0,
             transmissions: 0,
@@ -438,9 +414,9 @@ impl<'a> LossyState<'a> {
         }
     }
 
-    /// Runs `rounds` rounds on `regions` regions: begin (faults,
-    /// routes), region walks on the pool, one commit, end. With one
-    /// region the pool spawns nothing and the walk runs inline.
+    /// Runs `rounds` rounds on `regions` regions: frame begin (faults,
+    /// routes), region walks on the pool, one commit, frame end. With
+    /// one region the pool spawns nothing and the walk runs inline.
     fn run<R: Recorder>(&mut self, rounds: u64, regions: usize, recorder: &mut R) {
         let n = self.topology.len();
         let part =
@@ -450,55 +426,28 @@ impl<'a> LossyState<'a> {
             .collect();
         RoundPool::scoped(regions, |pool| {
             for round in 0..rounds {
-                self.begin_round(round);
+                self.frame.begin(round, &self.alive);
+                let frame = &self.frame;
                 let ctx = LossyRoundCtx {
-                    sink: self.sink,
+                    sink: self.topology.sink(),
                     seed: self.seed,
                     p_hop: self.p_hop,
                     rx: self.rx,
                     max_transmissions: self.config.arq.max_transmissions,
-                    parent: &self.packed.parent,
-                    tx_costs: &self.packed.tx,
-                    connected: self.cache.connected_flags(),
-                    timeline: &self.timeline,
-                    down_now: &self.down_now,
+                    parent: frame.cache.parents(),
+                    tx_costs: frame.cache.tx_costs(),
+                    connected: frame.cache.connected_flags(),
+                    timeline: &frame.timeline,
+                    down_now: &frame.down_now,
                 };
                 pool.run(&|w| {
                     let mut tally = tallies[w].lock().expect("region tally");
                     tally.walk(&ctx, round, part.range(w));
                 });
                 self.commit_round(&mut tallies, recorder);
-                self.end_round();
+                self.frame.end();
             }
         });
-    }
-
-    /// Advances fault state and re-resolves routes when dirty. Routing
-    /// sees fault state with a one-round lag, as in `gather` (no budget
-    /// deaths here — links are lossy but energy is not finite in this
-    /// model).
-    fn begin_round(&mut self, round: u64) {
-        if self.faults_active {
-            self.timeline.advance_to(round);
-            for (id, down) in self.down_now.iter_mut().enumerate() {
-                *down = id != self.sink.0 && self.timeline.node_down(id);
-            }
-        }
-        if self.routes_dirty {
-            for (id, flag) in self.usable.iter_mut().enumerate() {
-                *flag = id == self.sink.0 || !self.down_prev[id];
-            }
-            self.cache.ensure(
-                self.topology,
-                RoutingStrategy::MinimumEnergy,
-                &self.config.radio,
-                self.config.max_hop,
-                self.bits,
-                &self.usable,
-            );
-            self.routes_dirty = false;
-        }
-        self.packed.ensure(&self.cache);
     }
 
     /// Folds the round's region tallies into the run, in ascending
@@ -536,7 +485,7 @@ impl<'a> LossyState<'a> {
             .tx_attempts
             .iter_mut()
             .enumerate()
-            .zip(self.cache.tx_costs())
+            .zip(self.frame.cache.tx_costs())
         {
             if *count > 0 {
                 tx_total += *count;
@@ -570,15 +519,6 @@ impl<'a> LossyState<'a> {
         self.delivered += delivered;
         self.dropped_fault += faulted;
         self.transmissions += transmissions;
-    }
-
-    /// Notices fault transitions (dirty routes next round) and rotates
-    /// the down flags.
-    fn end_round(&mut self) {
-        if self.faults_active && self.down_now != self.down_prev {
-            self.routes_dirty = true;
-        }
-        std::mem::swap(&mut self.down_prev, &mut self.down_now);
     }
 
     fn report(&self) -> LossyReport {
@@ -670,41 +610,13 @@ pub fn simulate_lossy_gathering_faulted_with<R: Recorder>(
     LossySession::new(topology, config).run_regions(rounds, seed, faults, threads, recorder)
 }
 
-/// [`simulate_lossy_gathering_faulted`] with the standard instrumented
-/// recorder: returns the report plus the energy ledger and packet
-/// counters of the run.
-///
-/// # Panics
-///
-/// Panics if `rounds` is zero or the BER is outside `[0, 0.5]`.
-pub fn simulate_lossy_gathering_faulted_observed(
-    topology: &Topology,
-    config: &LossyConfig,
-    rounds: u64,
-    seed: u64,
-    faults: &FaultSchedule,
-) -> (LossyReport, LedgerRecorder) {
-    let mut recorder = LedgerRecorder::with_nodes(topology.len());
-    let report = simulate_lossy_gathering_faulted_with(
-        topology,
-        config,
-        rounds,
-        seed,
-        faults,
-        1,
-        &mut recorder,
-    );
-    (report, recorder)
-}
-
 /// [`simulate_lossy_gathering_faulted`] on up to `threads` worker
 /// threads — bit-identical at any thread count.
 ///
-/// Below [`par_min_nodes_per_worker`]×`threads` nodes (and always at one
-/// thread) the run takes one region, counted by
+/// Below [`PAR_MIN_NODES_PER_WORKER`]×`threads` nodes (and always at
+/// one thread) the run takes one region, counted by
 /// [`par_serial_fallback_count`]; otherwise it takes `threads` regions,
-/// counted by [`par_engaged_count`]. See
-/// [`set_par_min_nodes_per_worker`].
+/// counted by [`par_engaged_count`].
 ///
 /// # Panics
 ///
@@ -720,7 +632,7 @@ pub fn simulate_lossy_gathering_faulted_par(
 ) -> LossyReport {
     assert!(threads > 0, "at least one worker thread");
     let regions =
-        if threads > 1 && topology.len() >= par_min_nodes_per_worker().saturating_mul(threads) {
+        if threads > 1 && topology.len() >= PAR_MIN_NODES_PER_WORKER.saturating_mul(threads) {
             PAR_ENGAGED.with(|cell| cell.set(cell.get() + 1));
             threads
         } else {
@@ -739,7 +651,7 @@ pub fn simulate_lossy_gathering_faulted_par(
 }
 
 /// Reusable lossy-run session over one `(topology, config)` pair: the
-/// route cache and its packed next-hop image persist across runs, so
+/// route cache (with its packed next-hop image) persists across runs, so
 /// every run after the first skips the Dijkstra build (the dominant
 /// fixed cost at city scale) and measures marginal round work only.
 /// Each run is bit-identical to the matching one-shot entry point,
@@ -748,7 +660,6 @@ pub struct LossySession<'a> {
     topology: &'a Topology,
     config: &'a LossyConfig,
     cache: RouteCache,
-    packed: PackedRoutes,
 }
 
 impl<'a> LossySession<'a> {
@@ -758,7 +669,6 @@ impl<'a> LossySession<'a> {
             topology,
             config,
             cache: RouteCache::new(topology.len()),
-            packed: PackedRoutes::new(topology.len()),
         }
     }
 
@@ -791,9 +701,9 @@ impl<'a> LossySession<'a> {
     }
 
     /// One run on `regions` regions. The run state adopts the session's
-    /// warm cache and packed image — `begin_round` no-ops both when the
-    /// usable set still matches what the cache was built over — and
-    /// hands them back afterwards.
+    /// warm cache — the frame's `ensure` no-ops when the usable set
+    /// still matches what the cache was built over — and hands it back
+    /// afterwards.
     fn run_regions<R: Recorder>(
         &mut self,
         rounds: u64,
@@ -805,12 +715,10 @@ impl<'a> LossySession<'a> {
         assert!(rounds > 0, "simulate at least one round");
         assert!(regions > 0, "at least one worker thread");
         let cache = std::mem::replace(&mut self.cache, RouteCache::new(0));
-        let packed = std::mem::replace(&mut self.packed, PackedRoutes::new(0));
-        let mut state = LossyState::new(self.topology, self.config, seed, faults, cache, packed);
+        let mut state = LossyState::new(self.topology, self.config, seed, faults, cache);
         state.run(rounds, regions, recorder);
         let report = state.report();
-        self.cache = state.cache;
-        self.packed = state.packed;
+        self.cache = state.frame.cache;
         report
     }
 }
@@ -819,6 +727,28 @@ impl<'a> LossySession<'a> {
 mod tests {
     use super::*;
     use crate::routing::{build_routes, route_to_sink};
+    use ami_sim::obs::LedgerRecorder;
+
+    /// A one-region run with the standard instrumented recorder.
+    fn observed(
+        topology: &Topology,
+        config: &LossyConfig,
+        rounds: u64,
+        seed: u64,
+        faults: &FaultSchedule,
+    ) -> (LossyReport, LedgerRecorder) {
+        let mut recorder = LedgerRecorder::with_nodes(topology.len());
+        let report = simulate_lossy_gathering_faulted_with(
+            topology,
+            config,
+            rounds,
+            seed,
+            faults,
+            1,
+            &mut recorder,
+        );
+        (report, recorder)
+    }
 
     fn topo() -> Topology {
         Topology::grid(4, Length::from_meters(30.0))
@@ -954,13 +884,7 @@ mod tests {
     #[test]
     fn observed_run_carries_the_report_energy_in_the_ledger() {
         let config = LossyConfig::bruised_channel();
-        let (report, obs) = simulate_lossy_gathering_faulted_observed(
-            &topo(),
-            &config,
-            60,
-            5,
-            &FaultSchedule::empty(),
-        );
+        let (report, obs) = observed(&topo(), &config, 60, 5, &FaultSchedule::empty());
         // Charges are committed per (node, round, category) while the
         // report folds per packet, so the totals agree to rounding, not
         // bitwise.
@@ -1127,8 +1051,7 @@ mod tests {
                 from: 1,
                 until: 2,
             }]);
-            let (report, obs) =
-                simulate_lossy_gathering_faulted_observed(&pair, &config, 3, 3, &faults);
+            let (report, obs) = observed(&pair, &config, 3, 3, &faults);
             assert_eq!(report.dropped_fault, 1);
             assert_eq!(obs.packets.dropped_fault, 1);
             let bits = config.packet.total_bits();
@@ -1179,7 +1102,6 @@ mod tests {
             // per-worker floor, so `_par` must run one region —
             // observable only through the counters, because the results
             // are bit-identical either way.
-            set_par_min_nodes_per_worker(None);
             reset_par_engagement_counters();
             let lossy = par(&topo(), 10, 3, 8);
             assert_eq!(par_serial_fallback_count(), 1);
@@ -1192,23 +1114,23 @@ mod tests {
 
         #[test]
         fn one_worker_always_falls_back() {
-            set_par_min_nodes_per_worker(Some(0));
+            // Past the two-worker floor, one worker still runs one region.
+            let big = Topology::grid(91, Length::from_meters(30.0));
+            assert!(big.len() >= 2 * PAR_MIN_NODES_PER_WORKER);
             reset_par_engagement_counters();
-            let _ = par(&Topology::grid(3, Length::from_meters(30.0)), 5, 1, 1);
+            let _ = par(&big, 1, 1, 1);
             assert_eq!(par_serial_fallback_count(), 1);
             assert_eq!(par_engaged_count(), 0);
         }
 
         #[test]
-        fn override_engages_and_counts() {
-            set_par_min_nodes_per_worker(Some(0));
+        fn runs_past_the_floor_engage_and_count() {
+            let big = Topology::grid(91, Length::from_meters(30.0));
             reset_par_engagement_counters();
-            let _ = par(&Topology::grid(3, Length::from_meters(30.0)), 5, 1, 2);
+            let two = par(&big, 2, 1, 2);
             assert_eq!(par_engaged_count(), 1);
             assert_eq!(par_serial_fallback_count(), 0);
-            let restored = set_par_min_nodes_per_worker(None);
-            assert_eq!(restored, Some(0));
-            assert_eq!(par_min_nodes_per_worker(), PAR_MIN_NODES_PER_WORKER);
+            assert_eq!(two, par(&big, 2, 1, 1), "two regions match one");
         }
 
         #[test]

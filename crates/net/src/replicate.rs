@@ -20,8 +20,7 @@
 //! `BENCH_NET.json` tracks this path end-to-end.
 
 use crate::gather::{
-    simulate_gathering, simulate_gathering_faulted_observed, simulate_gathering_observed,
-    NetworkConfig, NetworkReport,
+    simulate_gathering, simulate_gathering_faulted_observed, NetworkConfig, NetworkReport,
 };
 use crate::routing::RoutingStrategy;
 use crate::topology::Topology;
@@ -126,22 +125,16 @@ pub fn replicate_gathering_observed_threads(
     config: &NetworkConfig,
     rounds: u64,
 ) -> (Vec<NetworkReport>, LedgerRecorder) {
-    assert!(replications > 0, "at least one replication");
-    let seeds: Vec<u64> = (0..replications)
-        .map(|k| base_seed.wrapping_add(k as u64))
-        .collect();
-    let observed = ami_sim::runner::par_map_indexed_threads(threads, &seeds, |_, &seed| {
-        simulate_gathering_observed(&topology(seed), strategy, config, rounds)
-    });
-    // par_map returns results in seed order, so this serial fold is the
-    // deterministic index-order merge.
-    let mut merged = LedgerRecorder::with_nodes(0);
-    let mut reports = Vec::with_capacity(observed.len());
-    for (report, recorder) in observed {
-        merged.merge(&recorder);
-        reports.push(report);
-    }
-    (reports, merged)
+    replicate_gathering_faulted_observed_threads(
+        threads,
+        replications,
+        base_seed,
+        topology,
+        |_| FaultSchedule::empty(),
+        strategy,
+        config,
+        rounds,
+    )
 }
 
 /// [`replicate_gathering_observed`] under per-replication fault
@@ -209,6 +202,8 @@ pub fn replicate_gathering_faulted_observed_threads(
             &faults(seed),
         )
     });
+    // par_map returns results in seed order, so this serial fold is the
+    // deterministic index-order merge.
     let mut merged = LedgerRecorder::with_nodes(0);
     let mut reports = Vec::with_capacity(observed.len());
     for (report, recorder) in observed {
@@ -331,11 +326,12 @@ mod tests {
         // Merged counters equal the sum over per-seed runs.
         let mut expect = ami_sim::obs::LedgerRecorder::with_nodes(0);
         for k in 0..5u64 {
-            let (_, solo) = simulate_gathering_observed(
+            let (_, solo) = simulate_gathering_faulted_observed(
                 &field(42 + k),
                 RoutingStrategy::MinimumEnergy,
                 &config,
                 10,
+                &FaultSchedule::empty(),
             );
             expect.merge(&solo);
         }

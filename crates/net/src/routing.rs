@@ -32,6 +32,7 @@
 
 use crate::topology::{NodeId, Topology};
 use ami_radio::RadioEnergyModel;
+use ami_sim::fault::{FaultSchedule, FaultTimeline};
 use ami_units::{DataVolume, Length};
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
@@ -365,6 +366,9 @@ pub fn route_to_sink(table: &[Option<NodeId>], topology: &Topology, node: NodeId
 #[derive(Debug, Clone)]
 pub struct RouteCache {
     table: Vec<Option<NodeId>>,
+    /// `table` packed for hop-walk hot loops: a 4-byte next hop per
+    /// node, `u32::MAX` when routeless (or the sink).
+    parent: Vec<u32>,
     routed_over: Vec<bool>,
     connected: Vec<bool>,
     tx_cost: Vec<f64>,
@@ -406,6 +410,7 @@ impl RouteCache {
     pub fn new(nodes: usize) -> Self {
         Self {
             table: vec![None; nodes],
+            parent: vec![u32::MAX; nodes],
             routed_over: vec![false; nodes],
             connected: vec![false; nodes],
             tx_cost: vec![0.0; nodes],
@@ -485,11 +490,14 @@ impl RouteCache {
         }
         self.routed_over.copy_from_slice(usable);
         for id in topology.ids() {
-            self.tx_cost[id.0] = match self.table[id.0] {
-                Some(next) => radio
-                    .transmit_energy(volume, topology.distance(id, next))
-                    .as_joules(),
-                None => 0.0,
+            (self.parent[id.0], self.tx_cost[id.0]) = match self.table[id.0] {
+                Some(next) => (
+                    next.0 as u32,
+                    radio
+                        .transmit_energy(volume, topology.distance(id, next))
+                        .as_joules(),
+                ),
+                None => (u32::MAX, 0.0),
             };
         }
         self.resolve_connectivity(topology.sink());
@@ -732,7 +740,7 @@ impl RouteCache {
 
     /// All per-node transmit costs, indexed by raw id — the bulk form
     /// of [`tx_cost`](Self::tx_cost) for kernels that fold charges over
-    /// many nodes per round (route packing and the lossy commits index
+    /// many nodes per round (the hop walks and the lossy commit index
     /// this slice directly instead of paying a method call per hop).
     pub fn tx_costs(&self) -> &[f64] {
         &self.tx_cost
@@ -742,6 +750,14 @@ impl RouteCache {
     /// form of [`is_connected`](Self::is_connected).
     pub fn connected_flags(&self) -> &[bool] {
         &self.connected
+    }
+
+    /// The table packed as raw next-hop ids (`u32::MAX` = routeless),
+    /// refreshed with the table by every build or repair: the hop walks
+    /// chase routes through two flat reads per hop (this and
+    /// [`tx_costs`](Self::tx_costs)) instead of 16-byte `Option` fetches.
+    pub(crate) fn parents(&self) -> &[u32] {
+        &self.parent
     }
 
     /// Route builds this cache has performed.
@@ -763,44 +779,107 @@ impl RouteCache {
     }
 }
 
-/// Route arrays packed for hop-walk hot loops: a 4-byte next-hop id and
-/// an 8-byte transmit cost per node, refreshed lazily per route epoch.
+/// The fault-lagged route epoch every round kernel runs in.
 ///
-/// The cache's own `table()` stores `Option<NodeId>` (16 bytes, with a
-/// discriminant test per fetch); packing it once per epoch lets the
-/// aggregation and lossy-ARQ walk loops chase routes through two flat
-/// reads per hop. Values are copied verbatim from the cache, so every
-/// consumer stays bit-identical to the method-call path.
-#[derive(Debug, Clone)]
-pub(crate) struct PackedRoutes {
-    /// Next hop per node; `u32::MAX` = routeless (or the sink).
-    pub(crate) parent: Vec<u32>,
-    /// Transmit cost along the parent edge, joules.
-    pub(crate) tx: Vec<f64>,
-    epoch: Option<u64>,
+/// Routing sees exogenous faults one round late — the network cannot
+/// know a relay went down until traffic through it fails — and then
+/// re-resolves next hops over the usable nodes instead of panicking.
+/// [`begin`](Self::begin) reads the round's fault-down set from the
+/// compiled [`FaultTimeline`] and, only when something routing can see
+/// changed, rebuilds the usable set as `sink || (alive && !down_prev)`
+/// and makes the [`RouteCache`] current for it; [`end`](Self::end)
+/// notices fault transitions and ages the down flags by one round.
+/// Kernels with finite budgets flag their deaths through
+/// `routes_dirty`; a healthy run resolves routes exactly once.
+pub(crate) struct RoundFrame<'a> {
+    topology: &'a Topology,
+    strategy: RoutingStrategy,
+    radio: &'a RadioEnergyModel,
+    max_hop: Length,
+    /// Bits per packet: sizes the cache's per-hop transmit costs.
+    bits: DataVolume,
+    /// Whether the schedule holds any event; fault-free runs never
+    /// advance the timeline nor compare down flags.
+    pub(crate) faults_active: bool,
+    /// Compiled down/link windows: O(1) per query, cursor advanced once
+    /// per round, no allocation.
+    pub(crate) timeline: FaultTimeline,
+    /// Fault-down flags this round (the sink never goes down).
+    pub(crate) down_now: Vec<bool>,
+    /// Last round's fault-down flags: what routing can see.
+    down_prev: Vec<bool>,
+    /// The node set routing can see, rebuilt when `routes_dirty`.
+    usable: Vec<bool>,
+    pub(crate) cache: RouteCache,
+    /// Whether the usable set may have changed since routes were last
+    /// resolved. Starts set, so the first round builds routes (or
+    /// adopts a warm session cache built over the same set).
+    pub(crate) routes_dirty: bool,
 }
 
-impl PackedRoutes {
-    pub(crate) fn new(nodes: usize) -> Self {
+impl<'a> RoundFrame<'a> {
+    /// A frame over `topology` that resolves routes into `cache` (fresh
+    /// or warm from a session) and reads faults from `faults`.
+    pub(crate) fn new(
+        topology: &'a Topology,
+        strategy: RoutingStrategy,
+        radio: &'a RadioEnergyModel,
+        max_hop: Length,
+        bits: DataVolume,
+        faults: &FaultSchedule,
+        cache: RouteCache,
+    ) -> Self {
+        let n = topology.len();
         Self {
-            parent: vec![u32::MAX; nodes],
-            tx: vec![0.0; nodes],
-            epoch: None,
+            topology,
+            strategy,
+            radio,
+            max_hop,
+            bits,
+            faults_active: !faults.is_empty(),
+            timeline: FaultTimeline::compile(faults, n),
+            down_now: vec![false; n],
+            down_prev: vec![false; n],
+            usable: vec![true; n],
+            cache,
+            routes_dirty: true,
         }
     }
 
-    /// Repacks from `cache` if its epoch moved since the last call.
-    /// Returns true when a repack happened.
-    pub(crate) fn ensure(&mut self, cache: &RouteCache) -> bool {
-        if self.epoch == Some(cache.epoch()) {
-            return false;
+    /// Start of `round`: advance fault state, then re-resolve routes if
+    /// dirty. `alive` holds the caller's budget-alive flags (all `true`
+    /// for kernels without budgets).
+    pub(crate) fn begin(&mut self, round: u64, alive: &[bool]) {
+        let sink = self.topology.sink().0;
+        if self.faults_active {
+            self.timeline.advance_to(round);
+            for (id, down) in self.down_now.iter_mut().enumerate() {
+                *down = id != sink && self.timeline.node_down(id);
+            }
         }
-        for (slot, hop) in self.parent.iter_mut().zip(cache.table()) {
-            *slot = hop.map_or(u32::MAX, |h| h.0 as u32);
+        if self.routes_dirty {
+            for (id, flag) in self.usable.iter_mut().enumerate() {
+                *flag = id == sink || (alive[id] && !self.down_prev[id]);
+            }
+            self.cache.ensure(
+                self.topology,
+                self.strategy,
+                self.radio,
+                self.max_hop,
+                self.bits,
+                &self.usable,
+            );
+            self.routes_dirty = false;
         }
-        self.tx.copy_from_slice(cache.tx_costs());
-        self.epoch = Some(cache.epoch());
-        true
+    }
+
+    /// End of a round: a fault transition dirties the routes for the
+    /// next round, and this round's down flags become routing's view.
+    pub(crate) fn end(&mut self) {
+        if self.faults_active && self.down_now != self.down_prev {
+            self.routes_dirty = true;
+        }
+        std::mem::swap(&mut self.down_prev, &mut self.down_now);
     }
 }
 

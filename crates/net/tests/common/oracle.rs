@@ -11,18 +11,24 @@
 //!   `build_routes_over`'s masked walk replaced;
 //! * [`lossy_reference_run`] — the hop-by-hop serial lossy round the
 //!   region-partitioned lossy kernel replaced;
+//! * [`gather_reference_run`] — the hop-by-hop serial gathering round
+//!   with per-hop exhaustion, the arbiter of the aggregated kernel and
+//!   its in-crate hop-walk fallback;
 //! * the full-rebuild-per-transition `RouteCache` path that incremental
 //!   repair replaced is toggled back on via
 //!   `ami_net::routing::set_route_repair_enabled(false)` — it stays in
 //!   the production crate because the cache itself dispatches to it.
 
 use ami_net::routing::build_routes;
-use ami_net::{LossyConfig, LossyReport, NodeId, RouteCache, RoutingStrategy, Topology};
+use ami_net::{
+    LossyConfig, LossyReport, NetworkConfig, NetworkReport, NodeId, RouteCache, RoutingStrategy,
+    Topology,
+};
 use ami_radio::RadioEnergyModel;
 use ami_sim::fault::{FaultSchedule, FaultTimeline};
 use ami_sim::obs::{EnergyCategory, Recorder};
 use ami_sim::rng::packet_rng;
-use ami_units::{Energy, Length};
+use ami_units::{DataVolume, Energy, Length};
 use rand::RngExt;
 
 /// The historical O(N²) scan Dijkstra, kept verbatim as the
@@ -235,4 +241,158 @@ pub fn lossy_reference_run<R: Recorder>(
     }
     report.total_energy = Energy::from_joules(energy);
     report
+}
+
+/// The historical serial gathering round, kept as the bit-exactness
+/// reference for the production kernel (aggregated rounds with a
+/// hop-walk fallback). Built only from public pieces: initial budgets
+/// scaled by [`FaultSchedule::capacity_factors`], a [`RouteCache`]
+/// re-resolved every round over `sink || (alive && !down_last_round)`
+/// (it rebuilds only when that set changed), a [`FaultTimeline`], and
+/// the [`Recorder`] hooks. Each round charges idle listening to every
+/// live, powered-on sensor in ascending id, then walks one report per
+/// live, funded, powered-on sensor hop by hop: a packet stops at the
+/// first hop whose sender or receiver is dead or exhausted
+/// (`dropped_dead_hop`), or after the sender pays for a hop onto a
+/// fault-downed node or across a downed link (`dropped_fault`). The
+/// end-of-round sweep buries exhausted nodes.
+pub fn gather_reference_run<R: Recorder>(
+    topology: &Topology,
+    strategy: RoutingStrategy,
+    config: &NetworkConfig,
+    rounds: u64,
+    faults: &FaultSchedule,
+    recorder: &mut R,
+) -> NetworkReport {
+    enum Fate {
+        Delivered,
+        DeadHop,
+        Fault,
+    }
+    let n = topology.len();
+    let sink = topology.sink();
+    let bits = config.packet.total_bits();
+    let idle = (config.idle_power * config.report_interval).as_joules();
+    let rx = config.radio.receive_energy(bits).as_joules();
+    let capacity = faults.capacity_factors(n);
+    let full = config.node_energy.as_joules();
+    let mut budget: Vec<f64> = (0..n)
+        .map(|id| {
+            if id == sink.0 {
+                full
+            } else {
+                full * capacity[id]
+            }
+        })
+        .collect();
+    let mut alive = vec![true; n];
+    let mut timeline = FaultTimeline::compile(faults, n);
+    let mut cache = RouteCache::new(n);
+    let mut down_now = vec![false; n];
+    let mut down_prev = vec![false; n];
+    let mut usable = vec![true; n];
+    let mut delivered = 0u64;
+    let mut spent = 0.0f64;
+    let mut first_death = None;
+
+    for round in 0..rounds {
+        timeline.advance_to(round);
+        for (id, down) in down_now.iter_mut().enumerate() {
+            *down = id != sink.0 && timeline.node_down(id);
+        }
+        for (id, flag) in usable.iter_mut().enumerate() {
+            *flag = id == sink.0 || (alive[id] && !down_prev[id]);
+        }
+        cache.ensure(
+            topology,
+            strategy,
+            &config.radio,
+            config.max_hop,
+            bits,
+            &usable,
+        );
+
+        for id in topology.sensor_ids() {
+            if alive[id.0] && !down_now[id.0] {
+                budget[id.0] -= idle;
+                spent += idle;
+                recorder.charge(id.0, EnergyCategory::Idle, idle);
+            }
+        }
+        for id in topology.sensor_ids() {
+            if !alive[id.0] || budget[id.0] <= 0.0 || down_now[id.0] {
+                continue;
+            }
+            recorder.packet_offered();
+            if !cache.is_connected(id) {
+                recorder.packet_dropped_disconnected();
+                continue;
+            }
+            let mut from = id;
+            let fate = loop {
+                if from == sink {
+                    break Fate::Delivered;
+                }
+                let hop = cache
+                    .next_hop(from)
+                    .expect("connected route reaches the sink");
+                let from_out = !alive[from.0] || budget[from.0] <= 0.0;
+                let hop_out = hop != sink && (!alive[hop.0] || budget[hop.0] <= 0.0);
+                if from_out || hop_out {
+                    break Fate::DeadHop;
+                }
+                let tx = cache.tx_cost(from);
+                budget[from.0] -= tx;
+                spent += tx;
+                recorder.charge(from.0, EnergyCategory::Tx, tx);
+                if (hop != sink && down_now[hop.0]) || timeline.link_down(from.0, hop.0) {
+                    break Fate::Fault;
+                }
+                if hop != sink {
+                    budget[hop.0] -= rx;
+                    spent += rx;
+                    recorder.charge(hop.0, EnergyCategory::RxRelay, rx);
+                }
+                from = hop;
+            };
+            match fate {
+                Fate::Delivered => {
+                    delivered += 1;
+                    recorder.packet_delivered();
+                }
+                Fate::DeadHop => recorder.packet_dropped_dead_hop(),
+                Fate::Fault => recorder.packet_dropped_fault(),
+            }
+        }
+
+        for id in topology.sensor_ids() {
+            if alive[id.0] && budget[id.0] <= 0.0 {
+                alive[id.0] = false;
+                first_death.get_or_insert(round + 1);
+            }
+        }
+        std::mem::swap(&mut down_prev, &mut down_now);
+    }
+
+    for id in topology.sensor_ids() {
+        recorder.record_residual(id.0, budget[id.0]);
+    }
+    NetworkReport {
+        delivered_packets: delivered,
+        delivered_volume: DataVolume::from_bits(
+            config.packet.payload().as_bits() * delivered as f64,
+        ),
+        total_energy: Energy::from_joules(spent),
+        first_death_round: first_death,
+        alive_nodes: topology
+            .sensor_ids()
+            .filter(|id| alive[id.0] && !timeline.node_down(id.0))
+            .count(),
+        residual_energy: budget
+            .iter()
+            .skip(1)
+            .map(|&j| Energy::from_joules(j))
+            .collect(),
+        rounds,
+    }
 }

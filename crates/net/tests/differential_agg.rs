@@ -1,59 +1,47 @@
-//! Differential layer for the traffic-aggregation charge kernel:
-//! aggregated rounds ≡ the per-packet hop walk, at report, ledger and
-//! rendered-manifest level.
+//! Differential layer for the traffic-aggregation charge kernel: the
+//! production gathering kernel ≡ an independent hop-by-hop reference
+//! round, at report, ledger and rendered-manifest level.
 //!
 //! The aggregated kernel replaces the serial round's per-packet budget
 //! walk with one reverse-topological sweep plus a per-cell replay, and
 //! is only admissible because it changes *nothing*: the S1/S2 energy
 //! margins prove, per round, that the serial kernel would have seen no
 //! mid-round budget death, and every f64 fold replays the serial charge
-//! order. These tests pin that contract the same way the repair and
-//! lossy-PDES layers are pinned — random topologies × random fault schedules
-//! with budget deaths provoked mid-run, bit equality on all artifacts,
-//! failures delta-debugged to a 1-minimal schedule — plus targeted
-//! regressions for the fallback machinery itself (death rounds must
-//! route through the retained hop-walk oracle and be counted).
+//! order. These tests pin that contract against
+//! `common::oracle::gather_reference_run` — built only from public
+//! routing and fault pieces, so it shares no code with either
+//! production path — the same way the repair and lossy-region layers
+//! are pinned: random topologies × random fault schedules with budget
+//! deaths provoked mid-run, bit equality on all artifacts, failures
+//! delta-debugged to a 1-minimal schedule — plus targeted regressions
+//! for the fallback machinery itself (death rounds must route through
+//! the in-crate hop-walk fallback and be counted).
 
 mod common;
 
 use ami_net::{
-    agg_engaged_count, agg_fallback_count, reset_agg_counters, set_aggregated_rounds,
-    simulate_gathering, simulate_gathering_faulted_observed, GatherSession, NetworkConfig,
-    NetworkReport, RoutingStrategy, Topology,
+    agg_engaged_count, agg_fallback_count, reset_agg_counters, simulate_gathering,
+    simulate_gathering_faulted_observed, GatherSession, NetworkConfig, NetworkReport,
+    RoutingStrategy, Topology,
 };
 use ami_sim::fault::{FaultEvent, FaultSchedule};
-use ami_sim::obs::{LedgerRecorder, RunManifest};
+use ami_sim::obs::{LedgerRecorder, NullRecorder, RunManifest};
 use ami_units::{Energy, Length};
+use common::oracle::gather_reference_run;
 use common::schedule::{fault_schedule, minimize_failing_schedule};
 use proptest::prelude::*;
 
-/// Restores the thread-local aggregation toggle on drop, so a failing
-/// assertion cannot leak kernel choice into later tests on the thread.
-struct AggMode(Option<bool>);
+/// The three artifacts the aggregation contract pins: report, ledger
+/// and rendered manifest.
+type Artifacts = (NetworkReport, LedgerRecorder, String);
 
-impl AggMode {
-    fn set(enabled: bool) -> Self {
-        Self(set_aggregated_rounds(Some(enabled)))
-    }
-}
-
-impl Drop for AggMode {
-    fn drop(&mut self) {
-        set_aggregated_rounds(self.0);
-    }
-}
-
-/// One faulted, observed gathering run with the aggregated kernel
-/// forced on or off, plus its rendered manifest — the three artifacts
-/// the aggregation contract pins.
-fn observed_run(
+/// One faulted, observed gathering run through the production kernel.
+fn production_run(
     topo: &Topology,
     config: &NetworkConfig,
     schedule: &FaultSchedule,
     rounds: u64,
-    aggregated: bool,
-) -> (NetworkReport, LedgerRecorder, String) {
-    let _mode = AggMode::set(aggregated);
+) -> Artifacts {
     let (report, obs) = simulate_gathering_faulted_observed(
         topo,
         RoutingStrategy::MinimumEnergy,
@@ -63,6 +51,38 @@ fn observed_run(
     );
     let manifest = manifest_of(rounds, &report, &obs);
     (report, obs, manifest)
+}
+
+/// The same run through the hop-by-hop reference round.
+fn reference_run(
+    topo: &Topology,
+    config: &NetworkConfig,
+    schedule: &FaultSchedule,
+    rounds: u64,
+) -> Artifacts {
+    let mut obs = LedgerRecorder::with_nodes(topo.len());
+    let report = gather_reference_run(
+        topo,
+        RoutingStrategy::MinimumEnergy,
+        config,
+        rounds,
+        schedule,
+        &mut obs,
+    );
+    let manifest = manifest_of(rounds, &report, &obs);
+    (report, obs, manifest)
+}
+
+/// A fault-free reference run recording nothing.
+fn reference_report(topo: &Topology, config: &NetworkConfig, rounds: u64) -> NetworkReport {
+    gather_reference_run(
+        topo,
+        RoutingStrategy::MinimumEnergy,
+        config,
+        rounds,
+        &FaultSchedule::empty(),
+        &mut NullRecorder,
+    )
 }
 
 /// Renders the manifest artifact the aggregation contract pins.
@@ -79,11 +99,11 @@ fn manifest_of(rounds: u64, report: &NetworkReport, obs: &LedgerRecorder) -> Str
 proptest! {
     /// Tentpole contract: a faulted gathering run — delivery counts,
     /// energy ledger, packet-counter tree, rendered manifest — is
-    /// byte-identical whether rounds aggregate or hop-walk. Budgets are
+    /// byte-identical to the hop-by-hop reference round. Budgets are
     /// cut to ~12 idle rounds so energy deaths arrive mid-run and the
     /// margin-check fallback path executes alongside clean rounds.
     #[test]
-    fn aggregated_rounds_match_the_hop_walk_kernel(
+    fn production_rounds_match_the_reference_round(
         seed in 0u64..40,
         schedule in fault_schedule(24, 25, 10),
     ) {
@@ -91,19 +111,19 @@ proptest! {
         let mut config = NetworkConfig::sensor_default();
         config.node_energy = Energy::from_joules(0.015);
         let differs = |s: &FaultSchedule| {
-            observed_run(&topo, &config, s, 25, true) != observed_run(&topo, &config, s, 25, false)
+            production_run(&topo, &config, s, 25) != reference_run(&topo, &config, s, 25)
         };
         if differs(&schedule) {
             let minimized =
                 minimize_failing_schedule(schedule.events(), |s| differs(s));
-            let (report_a, _, manifest_a) = observed_run(&topo, &config, &minimized, 25, true);
-            let (report_w, _, manifest_w) = observed_run(&topo, &config, &minimized, 25, false);
+            let (report_p, _, manifest_p) = production_run(&topo, &config, &minimized, 25);
+            let (report_r, _, manifest_r) = reference_run(&topo, &config, &minimized, 25);
             panic!(
-                "aggregated run diverged from hop walk (seed {seed})\n\
-                 minimized schedule: {:?}\naggregated report: {report_a:?}\n\
-                 hop-walk report: {report_w:?}\nmanifests equal: {}",
+                "production run diverged from the reference round (seed {seed})\n\
+                 minimized schedule: {:?}\nproduction report: {report_p:?}\n\
+                 reference report: {report_r:?}\nmanifests equal: {}",
                 minimized.events(),
-                manifest_a == manifest_w,
+                manifest_p == manifest_r,
             );
         }
     }
@@ -115,7 +135,6 @@ fn death_rounds_fall_back_to_the_hop_walk_and_are_counted() {
     // fail the S1/S2 margin and route through the retained oracle. The
     // engaged/fallback counters let CI and tests assert the fast path
     // actually ran, not just that results matched.
-    let _mode = AggMode::set(true);
     let topo = Topology::random(64, Length::from_meters(180.0), 7);
     let mut config = NetworkConfig::sensor_default();
     config.node_energy = Energy::from_joules(0.008);
@@ -141,8 +160,7 @@ fn death_rounds_fall_back_to_the_hop_walk_and_are_counted() {
         "the scenario must actually exhaust a node"
     );
 
-    let _off = AggMode::set(false);
-    let oracle = simulate_gathering(&topo, RoutingStrategy::MinimumEnergy, &config, 30);
+    let oracle = reference_report(&topo, &config, 30);
     assert_eq!(
         agg, oracle,
         "mixed engaged/fallback run must stay bit-exact"
@@ -163,15 +181,13 @@ fn mid_round_death_at_the_packet_boundary_is_exact() {
         ami_net::Position::new(40.0, 0.0),
         ami_net::Position::new(80.0, 0.0),
     ]);
-    let config_probe = NetworkConfig::sensor_default();
     // Measure one healthy round's relay spend to place the death
     // mid-round: give the relay one full round plus half its round-2
     // outlay, so it crosses zero between two charge events of round 2.
-    let _mode = AggMode::set(false);
-    let (_, probe) = ami_net::simulate_gathering_observed(
+    let (_, probe, _) = reference_run(
         &topo,
-        RoutingStrategy::MinimumEnergy,
-        &config_probe,
+        &NetworkConfig::sensor_default(),
+        &FaultSchedule::empty(),
         1,
     );
     let relay_round = probe.ledger.node_total(1).as_joules();
@@ -179,9 +195,7 @@ fn mid_round_death_at_the_packet_boundary_is_exact() {
 
     let mut config = NetworkConfig::sensor_default();
     config.node_energy = Energy::from_joules(relay_round * 1.5);
-    let _off = AggMode::set(false);
-    let oracle = simulate_gathering(&topo, RoutingStrategy::MinimumEnergy, &config, 6);
-    let _on = AggMode::set(true);
+    let oracle = reference_report(&topo, &config, 6);
     reset_agg_counters();
     let agg = simulate_gathering(&topo, RoutingStrategy::MinimumEnergy, &config, 6);
     assert_eq!(agg, oracle, "mid-round death must be bit-exact");
@@ -203,7 +217,6 @@ fn sessions_reuse_routes_without_changing_results() {
     // The session API amortizes the route build across runs; every run
     // must still be bit-identical to the one-shot entry point, and the
     // kernel must stay engaged (no fallbacks on a healthy network).
-    let _mode = AggMode::set(true);
     let topo = Topology::random(400, Length::from_meters(500.0), 11);
     let config = NetworkConfig::sensor_default();
     let one_shot = simulate_gathering(&topo, RoutingStrategy::MinimumEnergy, &config, 8);
@@ -226,7 +239,6 @@ fn session_faulted_runs_match_the_one_shot_entry_point() {
     // (routing sees faults one round late, and link faults never change
     // the usable set), so only the run-boundary invalidation and the
     // fault-free replay guard keep those rounds off the stale image.
-    let _mode = AggMode::set(true);
     // 40 m spacing under the 45 m default hop range forces the
     // sink — relay — leaf chain, so both faults sit on a used route.
     let topo = Topology::new(vec![

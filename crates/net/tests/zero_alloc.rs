@@ -8,11 +8,11 @@
 //! [`steady_allocations`].)
 
 use ami_net::{
-    set_par_min_nodes_per_worker, simulate_gathering, simulate_lossy_gathering,
-    simulate_lossy_gathering_faulted_par, GatherSession, LossyConfig, LossySession, NetworkConfig,
-    RoutingStrategy, Topology,
+    simulate_gathering, simulate_lossy_gathering, simulate_lossy_gathering_faulted_with,
+    GatherSession, LossyConfig, LossySession, NetworkConfig, RoutingStrategy, Topology,
 };
 use ami_sim::fault::FaultSchedule;
+use ami_sim::obs::NullRecorder;
 use ami_units::Length;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -105,29 +105,28 @@ fn healthy_round_loops_allocate_nothing_per_round() {
 
     // The same kernel on two regions: worker spawn, region partition
     // and tallies are per-run costs; the per-round walk and commit must
-    // reuse them. The floor is forced to zero so the 80-node fixture
-    // really runs two regions, then restored.
-    let floor = set_par_min_nodes_per_worker(Some(0));
+    // reuse them. The generic entry point runs exactly two regions, so
+    // the 80-node fixture really takes both.
     let two_regions = |rounds| {
-        let _ = simulate_lossy_gathering_faulted_par(
+        let _ = simulate_lossy_gathering_faulted_with(
             &topo,
             &lossy,
             rounds,
             3,
             &FaultSchedule::empty(),
             2,
+            &mut NullRecorder,
         );
     };
     let regions_short = steady_allocations(5, || two_regions(10));
     let regions_long = steady_allocations(5, || two_regions(1000));
-    set_par_min_nodes_per_worker(floor);
     assert_eq!(
         regions_short, regions_long,
         "two-region lossy rounds allocated ({regions_short} vs {regions_long} allocations)"
     );
 
-    // Session runs: the route cache, packed next-hop image and the
-    // aggregation scratch (tally arrays, finals, the memoized value
+    // Session runs: the route cache (with its packed next-hop image) and
+    // the aggregation scratch (tally arrays, finals, the memoized value
     // stream) persist across runs, so a warm rerun allocates only the
     // fresh per-run state — flat in the round count and strictly less
     // than a one-shot run, which rebuilds routes and scratch.

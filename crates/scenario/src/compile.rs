@@ -11,8 +11,8 @@
 //!   warmed, so every run — and every batch-mate sharing the artifact —
 //!   reuses the same `Arc`-shared neighbor structure instead of
 //!   re-deriving it (the PR 6/7 caches, generalized);
-//! * single-run fault schedules are drawn and pre-compiled into a
-//!   [`FaultTimeline`].
+//! * single-run fault schedules are drawn once (each run's kernel
+//!   compiles its own timeline from the schedule).
 //!
 //! The result lives in an [`Arc`] and is immutable: concurrent service
 //! requests can execute [`run_threads`](CompiledScenario::run_threads)
@@ -46,7 +46,7 @@ use ami_net::{
     simulate_lossy_gathering_faulted_par, LossyConfig, NetworkConfig, Topology,
 };
 use ami_radio::StopAndWaitArq;
-use ami_sim::fault::{FaultSchedule, FaultSpec, FaultTimeline};
+use ami_sim::fault::{FaultSchedule, FaultSpec};
 use ami_sim::obs::{CounterTree, RunManifest};
 use ami_units::TimeSpan;
 use std::sync::Arc;
@@ -63,7 +63,6 @@ pub struct CompiledScenario {
     faults: Option<FaultSpec>,
     topology: Option<Topology>,
     schedule: Option<FaultSchedule>,
-    timeline: Option<FaultTimeline>,
 }
 
 impl CompiledScenario {
@@ -105,17 +104,14 @@ impl CompiledScenario {
             }
             _ => None,
         };
-        // Single-run scenarios also get their fault schedule drawn and
-        // compiled here; replicated runs derive one per seed.
+        // Single-run scenarios also get their fault schedule drawn
+        // here; replicated runs derive one per seed.
         let schedule = match (&topology, &faults) {
             (Some(topo), Some(fault_spec)) if spec.replications == 1 => {
                 Some(fault_spec.schedule_for(spec.seed, topo.len(), spec.rounds))
             }
             _ => None,
         };
-        let timeline = schedule
-            .as_ref()
-            .map(|s| FaultTimeline::compile(s, topology.as_ref().map_or(0, Topology::len)));
         Ok(Arc::new(Self {
             spec: spec.clone(),
             hash,
@@ -125,7 +121,6 @@ impl CompiledScenario {
             faults,
             topology,
             schedule,
-            timeline,
         }))
     }
 
@@ -168,12 +163,6 @@ impl CompiledScenario {
     /// The drawn fault schedule of a pinned single-run scenario.
     pub fn fault_schedule(&self) -> Option<&FaultSchedule> {
         self.schedule.as_ref()
-    }
-
-    /// The pre-compiled fault timeline of a pinned single-run scenario
-    /// (clone it to advance; the artifact itself never mutates).
-    pub fn fault_timeline(&self) -> Option<&FaultTimeline> {
-        self.timeline.as_ref()
     }
 
     /// Executes the scenario on `threads` workers and returns its
@@ -403,14 +392,13 @@ mod tests {
     }
 
     #[test]
-    fn faulted_single_run_precompiles_schedule_and_timeline() {
+    fn faulted_single_run_precompiles_its_schedule() {
         let mut spec = grid_spec(20);
         spec.faults = Some("death=0.5".to_owned());
         let compiled = CompiledScenario::compile(&spec).unwrap();
         assert!(compiled.fault_spec().is_some());
         let schedule = compiled.fault_schedule().expect("schedule drawn");
         assert!(!schedule.is_empty());
-        assert!(compiled.fault_timeline().is_some());
     }
 
     #[test]
@@ -422,11 +410,6 @@ mod tests {
         assert_eq!(one, four);
         assert!(one.contains("\"scenario_hash\""));
         assert!(one.contains(&compiled.hash().to_string()));
-
-        // Force the lossy kernel's nodes-per-worker floor to zero, so
-        // any run that could take more than one region does.
-        let floor = ami_net::set_par_min_nodes_per_worker(Some(0));
-        let agg = ami_net::set_aggregated_rounds(Some(true));
 
         // A faulted 529-node gathering run: every thread count takes
         // the one serial kernel — one aggregated-or-fallback path per
@@ -455,26 +438,26 @@ mod tests {
             .collect();
         assert_eq!(manifests[0], manifests[1]);
 
-        // A lossy run engages the region engine at more than one worker
-        // and still renders the serial manifest byte for byte.
+        // A lossy run past the two-worker nodes-per-worker floor (91² =
+        // 8281 nodes) engages two regions at two workers and still
+        // renders the one-region manifest byte for byte.
         let spec = ScenarioSpec::from_json_str(
             r#"{
                 "name": "t-lossy",
-                "rounds": 20,
-                "topology": {"kind": "grid", "side": 3, "spacing_m": 30.0},
+                "rounds": 3,
+                "topology": {"kind": "grid", "side": 91, "spacing_m": 30.0},
                 "workload": {"kind": "lossy", "ber": 0.001, "arq_attempts": 4}
             }"#,
         )
         .unwrap();
         let compiled = CompiledScenario::compile(&spec).unwrap();
+        let nodes = compiled.topology().unwrap().len();
+        assert!(nodes >= 2 * ami_net::PAR_MIN_NODES_PER_WORKER);
         let one = compiled.run_threads(1).to_json();
         let par = ami_net::par_engaged_count();
-        let four = compiled.run_threads(4).to_json();
+        let two = compiled.run_threads(2).to_json();
         assert_eq!(ami_net::par_engaged_count(), par + 1);
-        assert_eq!(one, four);
-
-        ami_net::set_aggregated_rounds(agg);
-        ami_net::set_par_min_nodes_per_worker(floor);
+        assert_eq!(one, two);
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!   in key order or spelled-out defaults hash identically;
 //! * [`compile`] — [`CompiledScenario::compile`] lowers a spec into an
 //!   immutable `Arc`-shared artifact: concrete configs, parsed fault
-//!   mix, pinned topology with warmed CSR adjacency, pre-compiled
-//!   [`FaultTimeline`](ami_sim::fault::FaultTimeline) — then
+//!   mix, pinned topology with warmed CSR adjacency, drawn single-run
+//!   fault schedule — then
 //!   [`run_threads`](CompiledScenario::run_threads) executes it into a
 //!   deterministic, thread-invariant
 //!   [`RunManifest`](ami_sim::obs::RunManifest);

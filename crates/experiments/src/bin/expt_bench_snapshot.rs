@@ -24,9 +24,9 @@
 //! aggregated round loop where quadratic scans would be unaffordable.
 //! At the city scales and up, `gather_round` and `lossy_round` measure
 //! **marginal rounds** through the session APIs ([`GatherSession`] /
-//! [`LossySession`]): the warm-up iteration performs the route build
-//! and sizes the scratch, so the timed iterations isolate per-round
-//! kernel cost from the build (which `route_build` prices separately).
+//! [`LossySession`]): the warm-up iteration performs the route build,
+//! so the timed iterations isolate per-round kernel cost from the build
+//! (which `route_build` prices separately).
 //! `lossy_round_par` repeats the city-scale lossy runs with the same
 //! lossy kernel on `AMBIENCE_THREADS` regions and workers and carries
 //! `threads`/`cpus` fields plus a `speedup` field (one-region mean /
@@ -279,9 +279,8 @@ fn run_net_snapshot(quick: bool) -> Vec<Entry> {
             },
         ));
         // Marginal rounds through the session API: the warm-up run
-        // builds routes and sizes the aggregation scratch, so the timed
-        // iterations price per-round work only (`route_build` above
-        // prices the build).
+        // builds routes, so the timed iterations price per-round work
+        // only (`route_build` above prices the build).
         let mut session = GatherSession::new(&topo, RoutingStrategy::MinimumEnergy, &net_config);
         entries.push(measure(
             format!("gather_round/n{n}"),

@@ -16,10 +16,7 @@
 //! byte-identical to the former hard-coded constants.
 
 use ami_experiments::{banner, print_table, section};
-use ami_net::routing::{
-    reset_route_build_count, reset_route_repair_count, route_build_count, route_repair_count,
-    set_route_repair_enabled,
-};
+use ami_net::routing::{route_build_count, route_repair_count, set_route_repair_enabled};
 use ami_net::{
     simulate_gathering_faulted, CsrAdjacency, NetworkConfig, NetworkReport, Position,
     RoutingStrategy, Topology,
@@ -53,11 +50,14 @@ fn faulted_run(
     faults: &FaultSchedule,
     rounds: u64,
 ) -> (NetworkReport, u64, u64) {
-    reset_route_build_count();
-    reset_route_repair_count();
+    let (builds, repairs) = (route_build_count(), route_repair_count());
     let report =
         simulate_gathering_faulted(topo, RoutingStrategy::MinimumEnergy, config, rounds, faults);
-    (report, route_build_count(), route_repair_count())
+    (
+        report,
+        route_build_count() - builds,
+        route_repair_count() - repairs,
+    )
 }
 
 fn main() {

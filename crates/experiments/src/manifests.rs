@@ -257,11 +257,6 @@ pub fn f6_faulted_manifest_threads(threads: usize) -> RunManifest {
         .counters(&obs.packets.tree())
 }
 
-/// [`f6_faulted_manifest_threads`] at the ambient thread count.
-pub fn f6_faulted_manifest() -> RunManifest {
-    f6_faulted_manifest_threads(ami_sim::runner::thread_count())
-}
-
 /// T3 (MAC comparison): the analytic MAC table for both traffic regimes
 /// — no simulation, but the same manifest contract as the sweeps.
 pub fn t3_manifest() -> RunManifest {

@@ -33,22 +33,26 @@
 //!    never saw an exhausted hop.
 //!
 //! Commitment then swaps the scratch finals in, folds the memoized
-//! spent stream in serial charge order, and replays ledger charges and
-//! packet counters per cell: ledger and counter *totals* are
-//! position-invariant, and every per-accumulator sequence is preserved.
+//! spent stream in serial charge order, replays ledger charges per cell
+//! and reports the round's packet fates as one [`PacketCounters`] tally:
+//! ledger and counter *totals* are position-invariant, and every
+//! per-accumulator sequence is preserved.
 //!
 //! Every gathering round, at every thread count, tries this kernel
 //! first; the budgets alone decide (through S1/S2) when a round falls
 //! back to the hop walk, which is retained verbatim for exactly that.
-//! The route arrays the passes chase are the route cache's own packed
-//! image (`parents` and `tx_costs` of
-//! [`RouteCache`](crate::routing::RouteCache)), refreshed by every
-//! build or repair. `tests/differential_agg.rs` pins the production
+//! The route arrays the passes chase are the route cache's own table —
+//! packed next hops (`parents`) and transmit costs (`tx_costs`) of
+//! [`RouteCache`](crate::routing::RouteCache) — which every build or
+//! repair writes in place. The scratch, memo included, belongs to one
+//! run: [`crate::GatherSession`] builds it per run, so a memoized round
+//! image cannot outlive the fault schedule it was taken under.
+//! `tests/differential_agg.rs` pins the production
 //! kernel against an independent hop-by-hop reference round at report,
 //! ledger and manifest level.
 
-use crate::gather::{GatherState, RoundPackets};
-use ami_sim::obs::{EnergyCategory, Recorder};
+use crate::gather::GatherState;
+use ami_sim::obs::{EnergyCategory, PacketCounters, Recorder};
 use std::cell::Cell;
 
 /// Upper bound on memoized spent-stream length, in f64 values.
@@ -76,12 +80,6 @@ pub fn agg_fallback_count() -> u64 {
     AGG_FALLBACKS.with(Cell::get)
 }
 
-/// Zeroes both engagement counters (test isolation).
-pub fn reset_agg_counters() {
-    AGG_ENGAGED.with(|c| c.set(0));
-    AGG_FALLBACKS.with(|c| c.set(0));
-}
-
 pub(crate) fn note_engaged() {
     AGG_ENGAGED.with(|c| c.set(c.get() + 1));
 }
@@ -91,8 +89,8 @@ pub(crate) fn note_fallback() {
 }
 
 /// Reusable scratch for the aggregated kernel — allocated once per run
-/// (or once per [`crate::GatherSession`], surviving across runs) and
-/// reused by every round, so the round loop stays allocation-steady.
+/// (a [`crate::GatherSession`] keeps none between runs) and reused by
+/// every round, so the round loop stays allocation-steady.
 ///
 /// All hot state is struct-of-arrays: the transit tallies
 /// (`below`/`above`) plus the charge scratch (`finals`) are the flat
@@ -108,21 +106,17 @@ pub(crate) struct AggScratch {
     /// Memoized spent value stream (fault-free rounds only).
     stream: Vec<f64>,
     /// Route epoch the memoized round image (stream + tallies +
-    /// counters) is valid for. Fault-free epochs only: exogenous faults
+    /// counters) is valid for. Routes still move within a run, so the
+    /// epoch keys the image. Fault-free runs only: exogenous faults
     /// change per-round fates without necessarily changing routes, so
-    /// the replay branch additionally requires a fault-free round and
-    /// [`Self::invalidate_run_memo`] clears this at every session-run
-    /// boundary.
+    /// the replay branch additionally requires a fault-free run.
     image_epoch: Option<u64>,
     /// Total hop charges seen by the last walk of `hops_epoch` — sizes
     /// the stream reservation and gates memoization against the cap.
     hops_epoch: Option<u64>,
     hops: u64,
-    // Round packet tallies (valid after a walk or with a valid image).
-    senders: u64,
-    delivered: u64,
-    disconnected: u64,
-    faulted: u64,
+    /// Round packet tallies (valid after a walk or with a valid image).
+    packets: PacketCounters,
 }
 
 impl AggScratch {
@@ -135,23 +129,8 @@ impl AggScratch {
             image_epoch: None,
             hops_epoch: None,
             hops: 0,
-            senders: 0,
-            delivered: 0,
-            disconnected: 0,
-            faulted: 0,
+            packets: PacketCounters::new(),
         }
-    }
-
-    /// Drops everything memoized from earlier runs: the round image and
-    /// the probed hop count. Both are keyed on the route epoch, and the
-    /// epoch alone cannot distinguish two runs of a warm session — a new
-    /// run may carry a different fault schedule without ever moving the
-    /// epoch (routing sees faults one round late, and link faults never
-    /// change the usable set) — so a session must call this at every
-    /// run start and let the run's own walks re-establish both.
-    pub(crate) fn invalidate_run_memo(&mut self) {
-        self.image_epoch = None;
-        self.hops_epoch = None;
     }
 }
 
@@ -269,17 +248,14 @@ impl GatherState<'_> {
         let above = above.as_mut_slice();
 
         let mut hops = 0u64;
-        let mut senders = 0u64;
-        let mut delivered = 0u64;
-        let mut disconnected = 0u64;
-        let mut faulted = 0u64;
+        let mut packets = PacketCounters::new();
         for (src, &conn) in connected.iter().enumerate().take(n).skip(1) {
             if !self.alive[src] || frame.down_now[src] {
                 continue;
             }
-            senders += 1;
+            packets.offered += 1;
             if !conn {
-                disconnected += 1;
+                packets.dropped_disconnected += 1;
                 continue;
             }
             let mut from = src as u32;
@@ -299,11 +275,11 @@ impl GatherState<'_> {
                     && ((hop != sink && frame.down_now[hop as usize])
                         || frame.timeline.link_down(fu, hop as usize))
                 {
-                    faulted += 1;
+                    packets.dropped_fault += 1;
                     break;
                 }
                 if hop == sink {
-                    delivered += 1;
+                    packets.delivered += 1;
                     break;
                 }
                 spent += rx;
@@ -323,10 +299,7 @@ impl GatherState<'_> {
         scratch.hops_epoch = Some(epoch);
         scratch.hops = hops;
         scratch.image_epoch = if record { Some(epoch) } else { None };
-        scratch.senders = senders;
-        scratch.delivered = delivered;
-        scratch.disconnected = disconnected;
-        scratch.faulted = faulted;
+        scratch.packets = packets;
         spent
     }
 
@@ -375,7 +348,7 @@ impl GatherState<'_> {
     /// Commits a validated aggregated round: budgets, the spent fold,
     /// the delivered count, then the recorder replay in a fixed
     /// per-cell order (idle charges ascending, then each cell's Tx and
-    /// RxRelay charges; packet counters as whole-round tallies).
+    /// RxRelay charges; packet counters as one whole-round tally).
     fn commit_aggregated<R: Recorder>(
         &mut self,
         scratch: &mut AggScratch,
@@ -383,18 +356,15 @@ impl GatherState<'_> {
         recorder: &mut R,
     ) {
         let n = self.topology.len();
-        // S2 proved no hop exhausted mid-round, so no packet can have
-        // stopped at a dead hop.
-        let packets = RoundPackets {
-            offered: scratch.senders,
-            delivered: scratch.delivered,
-            dead_hop: 0,
-            disconnected: scratch.disconnected,
-            fault: scratch.faulted,
-        };
-        packets.debug_assert_conserved();
+        let packets = scratch.packets;
+        // Every offered packet ends in exactly one fate, and S2 proved
+        // no hop exhausted mid-round, so none stopped at a dead hop.
+        debug_assert!(
+            packets.is_conserved(),
+            "round packets not conserved: {packets:?}"
+        );
         debug_assert_eq!(
-            packets.dead_hop, 0,
+            packets.dropped_dead_hop, 0,
             "aggregated round lost a dead-hop packet"
         );
         std::mem::swap(&mut self.budget, &mut scratch.finals);
@@ -425,9 +395,6 @@ impl GatherState<'_> {
                 recorder.charge(v, EnergyCategory::RxRelay, rx);
             }
         }
-        recorder.packets_offered(packets.offered);
-        recorder.packets_dropped_disconnected(packets.disconnected);
-        recorder.packets_delivered(packets.delivered);
-        recorder.packets_dropped_fault(packets.fault);
+        recorder.packets(&packets);
     }
 }

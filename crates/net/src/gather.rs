@@ -17,7 +17,10 @@
 //! Every run is a [`GatherSession`] generic over an
 //! [`ami_sim::obs::Recorder`]; [`simulate_gathering`] records nothing
 //! (zero cost), [`simulate_gathering_faulted_observed`] fills an energy
-//! ledger and packet counters.
+//! ledger and packet counters. Whichever path runs a round — the
+//! aggregated kernel of [`crate::agg`] or the hop walk it falls back
+//! to — counts the round's packet fates and reports them once. A
+//! session keeps only its route cache between runs.
 //!
 //! The `*_faulted` entry points additionally take an
 //! [`ami_sim::fault::FaultSchedule`] of exogenous failures. A fault-downed
@@ -31,11 +34,11 @@
 //! case, bit-exact with the pre-fault implementation.
 
 use crate::agg::AggScratch;
-use crate::routing::{RoundFrame, RouteCache, RoutingStrategy};
+use crate::routing::{RoundFrame, RouteCache, RoutingStrategy, NO_ROUTE};
 use crate::topology::Topology;
 use ami_radio::{Packet, RadioEnergyModel};
 use ami_sim::fault::FaultSchedule;
-use ami_sim::obs::{EnergyCategory, LedgerRecorder, NullRecorder, Recorder};
+use ami_sim::obs::{EnergyCategory, LedgerRecorder, NullRecorder, PacketCounters, Recorder};
 use ami_units::{DataVolume, Energy, EnergyPerBit, Length, Power, TimeSpan};
 use serde::{Deserialize, Serialize};
 
@@ -192,38 +195,6 @@ pub fn simulate_gathering_faulted_observed(
     (report, recorder)
 }
 
-/// How one packet's trip through the route table ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum PacketFate {
-    Delivered,
-    DeadHop,
-    Fault,
-}
-
-/// One round's packet fates, tallied by whichever path ran the round.
-/// Every offered packet ends in exactly one fate; debug builds check
-/// that on every round of both paths.
-#[derive(Debug, Default)]
-pub(crate) struct RoundPackets {
-    pub(crate) offered: u64,
-    pub(crate) delivered: u64,
-    pub(crate) dead_hop: u64,
-    pub(crate) disconnected: u64,
-    pub(crate) fault: u64,
-}
-
-impl RoundPackets {
-    /// Packet conservation for the round: offered = delivered +
-    /// dead_hop + disconnected + fault.
-    pub(crate) fn debug_assert_conserved(&self) {
-        debug_assert_eq!(
-            self.offered,
-            self.delivered + self.dead_hop + self.disconnected + self.fault,
-            "round packets not conserved: {self:?}"
-        );
-    }
-}
-
 /// The per-run state of the gathering kernel: the shared
 /// [`RoundFrame`] (fault advance + route epoch) plus what only
 /// gathering has — energy budgets, the death sweep, the hop walk and
@@ -297,13 +268,16 @@ impl<'a> GatherState<'a> {
     }
 
     /// The serial mid-round phase: idle charges, then one report per
-    /// live, funded, powered-on node, walked hop by hop with per-hop
-    /// exhaustion checks: the historical round, which the aggregated
-    /// kernel matches bit for bit and falls back to on rounds its
-    /// energy-margin validation rejects.
+    /// live, funded, powered-on node, walked hop by hop over the route
+    /// cache's packed arrays with per-hop exhaustion checks: the
+    /// historical round, which the aggregated kernel matches bit for bit
+    /// and falls back to on rounds its energy-margin validation rejects.
     pub(crate) fn idle_and_send<R: Recorder>(&mut self, recorder: &mut R) {
-        let sink = self.topology.sink();
+        let sink = self.topology.sink().0;
         let frame = &self.frame;
+        let parent = frame.cache.parents();
+        let tx_costs = frame.cache.tx_costs();
+        let connected = frame.cache.connected_flags();
         // Idle/listening cost for every live, powered-on sensor node.
         for id in self.topology.sensor_ids() {
             if self.alive[id.0] && !frame.down_now[id.0] {
@@ -316,72 +290,60 @@ impl<'a> GatherState<'a> {
         // Each live, still-funded, powered-on node reports once. (The
         // idle charge above may have emptied a budget; such a node is
         // silent this round and will be buried by the sweep below.)
-        let mut packets = RoundPackets::default();
+        let mut packets = PacketCounters::new();
         for id in self.topology.sensor_ids() {
-            if !self.alive[id.0] || self.budget[id.0] <= 0.0 || frame.down_now[id.0] {
+            let src = id.0;
+            if !self.alive[src] || self.budget[src] <= 0.0 || frame.down_now[src] {
                 continue;
             }
             packets.offered += 1;
-            recorder.packet_offered();
-            if !frame.cache.is_connected(id) {
-                packets.disconnected += 1;
-                recorder.packet_dropped_disconnected();
+            if !connected[src] {
+                packets.dropped_disconnected += 1;
                 continue; // disconnected this round
             }
-            // Charge the sender and every relay by walking the cached
-            // table directly (the connectivity check above guarantees
-            // the chain reaches the sink); abort when a hop has died,
-            // run out mid-round, or gone down to a fault.
-            let mut from = id;
-            let mut fate = PacketFate::Delivered;
-            while from != sink {
-                let hop = frame
-                    .cache
-                    .next_hop(from)
-                    .expect("connected route reaches the sink");
-                let from_down = !self.alive[from.0] || self.budget[from.0] <= 0.0;
-                let hop_down = hop != sink && (!self.alive[hop.0] || self.budget[hop.0] <= 0.0);
-                if from_down || hop_down {
-                    fate = PacketFate::DeadHop;
-                    break;
+            // Charge the sender and every relay by chasing the packed
+            // table (the connectivity check above guarantees the chain
+            // reaches the sink); abort when a hop has died, run out
+            // mid-round, or gone down to a fault.
+            let mut from = src;
+            let fate = loop {
+                if from == sink {
+                    break &mut packets.delivered;
                 }
-                let tx = frame.cache.tx_cost(from);
-                self.budget[from.0] -= tx;
+                debug_assert_ne!(parent[from], NO_ROUTE, "connected route reaches the sink");
+                let hop = parent[from] as usize;
+                let from_down = !self.alive[from] || self.budget[from] <= 0.0;
+                let hop_down = hop != sink && (!self.alive[hop] || self.budget[hop] <= 0.0);
+                if from_down || hop_down {
+                    break &mut packets.dropped_dead_hop;
+                }
+                let tx = tx_costs[from];
+                self.budget[from] -= tx;
                 self.spent += tx;
-                recorder.charge(from.0, EnergyCategory::Tx, tx);
+                recorder.charge(from, EnergyCategory::Tx, tx);
                 // A hop onto a fault-downed node or across a downed link
                 // still costs the sender its transmission — it cannot
                 // know in advance — but nothing arrives and the downed
                 // receiver spends nothing.
-                if (hop != sink && frame.down_now[hop.0]) || frame.timeline.link_down(from.0, hop.0)
-                {
-                    fate = PacketFate::Fault;
-                    break;
+                if (hop != sink && frame.down_now[hop]) || frame.timeline.link_down(from, hop) {
+                    break &mut packets.dropped_fault;
                 }
                 if hop != sink {
-                    self.budget[hop.0] -= self.rx_per_hop;
+                    self.budget[hop] -= self.rx_per_hop;
                     self.spent += self.rx_per_hop;
-                    recorder.charge(hop.0, EnergyCategory::RxRelay, self.rx_per_hop);
+                    recorder.charge(hop, EnergyCategory::RxRelay, self.rx_per_hop);
                 }
                 from = hop;
-            }
-            match fate {
-                PacketFate::Delivered => {
-                    packets.delivered += 1;
-                    recorder.packet_delivered();
-                }
-                PacketFate::DeadHop => {
-                    packets.dead_hop += 1;
-                    recorder.packet_dropped_dead_hop();
-                }
-                PacketFate::Fault => {
-                    packets.fault += 1;
-                    recorder.packet_dropped_fault();
-                }
-            }
+            };
+            *fate += 1;
         }
-        packets.debug_assert_conserved();
+        // Every offered packet ends in exactly one fate.
+        debug_assert!(
+            packets.is_conserved(),
+            "round packets not conserved: {packets:?}"
+        );
         self.delivered += packets.delivered;
+        recorder.packets(&packets);
     }
 
     /// End-of-round phase of every gathering round: bury the
@@ -454,8 +416,10 @@ pub fn simulate_gathering_faulted_observed_par(
 }
 
 /// A reusable gathering harness: routes are resolved once and kept warm
-/// across runs, together with the aggregated kernel's scratch (per-node
-/// tallies and, on fault-free epochs, the memoized charge stream).
+/// across runs. The session keeps nothing else — each run builds its own
+/// aggregated-kernel scratch (per-node tallies and, on fault-free
+/// epochs, the memoized charge stream), so no memo outlives the fault
+/// schedule it was taken under.
 ///
 /// The one-shot entry points are a session used once, so they pay one
 /// route build per call; a kept session pays it once and then measures
@@ -468,7 +432,6 @@ pub struct GatherSession<'a> {
     strategy: RoutingStrategy,
     config: &'a NetworkConfig,
     cache: RouteCache,
-    scratch: AggScratch,
 }
 
 impl<'a> GatherSession<'a> {
@@ -483,7 +446,6 @@ impl<'a> GatherSession<'a> {
             strategy,
             config,
             cache: RouteCache::new(topology.len()),
-            scratch: AggScratch::new(topology.len()),
         }
     }
 
@@ -544,15 +506,12 @@ impl<'a> GatherSession<'a> {
         // over, which is what amortizes the build across runs.
         let cache = std::mem::replace(&mut self.cache, RouteCache::new(0));
         let mut state = GatherState::new(self.topology, self.strategy, self.config, faults, cache);
-        // The warm cache keeps the route-epoch counter alive across
-        // runs, but this run's fault schedule may differ from the one
-        // the scratch memoized under at the same epoch — drop the
-        // memoized round image and hop probe so every run re-derives
-        // them from its own walks.
-        self.scratch.invalidate_run_memo();
+        // The run owns the kernel's memo: a round image taken under this
+        // run's fault schedule cannot be replayed by a later run.
+        let mut scratch = AggScratch::new(self.topology.len());
         for round in 0..rounds {
             state.frame.begin(round, &state.alive);
-            state.round_charges(&mut self.scratch, recorder);
+            state.round_charges(&mut scratch, recorder);
             state.end_round(round);
         }
         self.cache = std::mem::replace(&mut state.frame.cache, RouteCache::new(0));

@@ -18,7 +18,7 @@
 //!   nodes one round late and fault losses are attributed to the
 //!   `dropped_fault` counter cause. Both kernels run every round inside
 //!   one fault-lagged route epoch, and both chase routes through the
-//!   route cache's own packed next-hop image;
+//!   route cache's packed next-hop table;
 //! * [`simulate_gathering_faulted_observed`] — a gathering run with an
 //!   [`ami_sim::obs`] energy ledger and packet counters attached, for
 //!   per-category energy attribution and run manifests
@@ -36,7 +36,8 @@
 //!   every round tries the aggregated kernel and falls back to the hop
 //!   walk only when its budget margins say so;
 //! * [`GatherSession`] and [`LossySession`] — keep routes warm across
-//!   runs; every one-shot entry point is a session used once.
+//!   runs (and nothing else); every one-shot entry point is a session
+//!   used once.
 //!
 //! # Example
 //!
@@ -61,7 +62,7 @@ pub mod replicate;
 pub mod routing;
 pub mod topology;
 
-pub use agg::{agg_engaged_count, agg_fallback_count, reset_agg_counters};
+pub use agg::{agg_engaged_count, agg_fallback_count};
 pub use aggregate::{analyze_aggregation, AggregationReport};
 pub use cluster::{simulate_clustered, ClusterConfig, ClusterReport};
 pub use csr::CsrAdjacency;
@@ -70,10 +71,10 @@ pub use gather::{
     simulate_gathering_faulted_observed_par, GatherSession, NetworkConfig, NetworkReport,
 };
 pub use lossy::{
-    par_engaged_count, par_serial_fallback_count, reset_par_engagement_counters,
-    simulate_lossy_gathering, simulate_lossy_gathering_faulted,
-    simulate_lossy_gathering_faulted_par, simulate_lossy_gathering_faulted_with, LossyConfig,
-    LossyReport, LossySession, PAR_MIN_NODES_PER_WORKER,
+    par_engaged_count, par_serial_fallback_count, simulate_lossy_gathering,
+    simulate_lossy_gathering_faulted, simulate_lossy_gathering_faulted_par,
+    simulate_lossy_gathering_faulted_with, LossyConfig, LossyReport, LossySession,
+    PAR_MIN_NODES_PER_WORKER,
 };
 pub use replicate::{
     replicate_gathering, replicate_gathering_faulted_observed,

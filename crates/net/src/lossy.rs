@@ -64,18 +64,20 @@
 //! Faults and routes follow the same fault-lagged route epoch as
 //! gathering — one shared frame, seen here with every node alive
 //! (the lossy model has no budgets) — and the hop chase reads the route
-//! cache's packed next-hop image directly.
+//! cache's packed next-hop table directly. Each round's packet fates
+//! reach the recorder as one tally (`offered`, `delivered`,
+//! `dropped_fault`; channel losses are the remainder).
 //!
 //! The retired sequential-stream kernel, which drew every attempt from
 //! one `StdRng` stream and so was permanently serial, is kept as a test
 //! oracle pinned by its own frozen golden (`tests/seqstream_oracle.rs`).
 
 use crate::csr::RegionPartition;
-use crate::routing::{RoundFrame, RouteCache, RoutingStrategy};
+use crate::routing::{RoundFrame, RouteCache, RoutingStrategy, NO_ROUTE};
 use crate::topology::{NodeId, Topology};
 use ami_radio::{Packet, RadioEnergyModel, StopAndWaitArq};
 use ami_sim::fault::{FaultSchedule, FaultTimeline};
-use ami_sim::obs::{EnergyCategory, NullRecorder, Recorder};
+use ami_sim::obs::{EnergyCategory, NullRecorder, PacketCounters, Recorder};
 use ami_sim::rng::packet_rng;
 use ami_sim::runner::RoundPool;
 use ami_units::{Energy, EnergyPerBit, Length};
@@ -186,12 +188,6 @@ pub fn par_engaged_count() -> u64 {
     PAR_ENGAGED.with(Cell::get)
 }
 
-/// Zeroes both engagement counters on this thread.
-pub fn reset_par_engagement_counters() {
-    PAR_FALLBACKS.with(|cell| cell.set(0));
-    PAR_ENGAGED.with(|cell| cell.set(0));
-}
-
 /// How one offered packet ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum LossyFate {
@@ -234,9 +230,9 @@ struct RegionTally {
     /// Per-source packet energy subtotal, indexed from the region's
     /// first id; exactly 0.0 for sources that offered nothing.
     energy: Vec<f64>,
-    offered: u64,
-    delivered: u64,
-    faulted: u64,
+    /// Packet fates: `offered`, `delivered` and `dropped_fault` only —
+    /// channel losses are the remainder, not a `dropped_*` cause.
+    packets: PacketCounters,
     transmissions: u64,
 }
 
@@ -246,9 +242,7 @@ impl RegionTally {
             tx_attempts: vec![0; nodes],
             rx_attempts: vec![0; nodes],
             energy: vec![0.0; sources],
-            offered: 0,
-            delivered: 0,
-            faulted: 0,
+            packets: PacketCounters::new(),
             transmissions: 0,
         }
     }
@@ -264,7 +258,7 @@ impl RegionTally {
             if src == ctx.sink.0 || ctx.down_now[src] || !ctx.connected[src] {
                 continue; // the sink, a powered-off node, or routeless
             }
-            self.offered += 1;
+            self.packets.offered += 1;
             let (fate, energy) = walk_packet(
                 ctx,
                 round,
@@ -275,8 +269,8 @@ impl RegionTally {
             );
             *slot = energy;
             match fate {
-                LossyFate::Delivered => self.delivered += 1,
-                LossyFate::Fault => self.faulted += 1,
+                LossyFate::Delivered => self.packets.delivered += 1,
+                LossyFate::Fault => self.packets.dropped_fault += 1,
                 // Channel losses are implicit in the counters
                 // (offered − delivered − fault); they are not a
                 // `dropped_*` recorder cause.
@@ -309,7 +303,7 @@ fn walk_packet(
     loop {
         let fu = from as usize;
         let hop = ctx.parent[fu];
-        debug_assert!(hop != u32::MAX, "connected route reaches the sink");
+        debug_assert!(hop != NO_ROUTE, "connected route reaches the sink");
         let tx = ctx.tx_costs[fu];
         if hop != sink && ctx.down_now[hop as usize] {
             // Powered-off receiver: no ACK ever comes, so the sender
@@ -368,10 +362,9 @@ struct LossyState<'a> {
     /// The frame's budget-alive view: the lossy model has no budgets,
     /// so every node stays alive and only faults move routes.
     alive: Vec<bool>,
-    offered: u64,
-    delivered: u64,
+    /// Run totals of the packet fates the rounds committed.
+    packets: PacketCounters,
     transmissions: u64,
-    dropped_fault: u64,
     energy: f64,
 }
 
@@ -406,10 +399,8 @@ impl<'a> LossyState<'a> {
             // every hop.
             rx: config.radio.receive_energy(bits).as_joules(),
             alive: vec![true; topology.len()],
-            offered: 0,
-            delivered: 0,
+            packets: PacketCounters::new(),
             transmissions: 0,
-            dropped_fault: 0,
             energy: 0.0,
         }
     }
@@ -454,7 +445,7 @@ impl<'a> LossyState<'a> {
     /// region order: packet energy subtotals in ascending source id,
     /// then one charge per `(node, category)` from the merged integer
     /// attempt counts — all `Tx` ascending, then all `RxRelay` — then
-    /// the packet tallies. Leaves every attempt count at zero.
+    /// the round's packet tally. Leaves every region tally at zero.
     fn commit_round<R: Recorder>(&mut self, tallies: &mut [Mutex<RegionTally>], recorder: &mut R) {
         let (first, rest) = tallies.split_first_mut().expect("at least one region");
         let merged = first.get_mut().expect("region tally");
@@ -474,9 +465,7 @@ impl<'a> LossyState<'a> {
             for (sum, count) in merged.rx_attempts.iter_mut().zip(&mut region.rx_attempts) {
                 *sum += std::mem::take(count);
             }
-            merged.offered += std::mem::take(&mut region.offered);
-            merged.delivered += std::mem::take(&mut region.delivered);
-            merged.faulted += std::mem::take(&mut region.faulted);
+            merged.packets.merge(&std::mem::take(&mut region.packets));
             merged.transmissions += std::mem::take(&mut region.transmissions);
         }
 
@@ -500,34 +489,28 @@ impl<'a> LossyState<'a> {
             }
         }
 
-        let offered = std::mem::take(&mut merged.offered);
-        let delivered = std::mem::take(&mut merged.delivered);
-        let faulted = std::mem::take(&mut merged.faulted);
+        let packets = std::mem::take(&mut merged.packets);
         let transmissions = std::mem::take(&mut merged.transmissions);
         // Conservation, checked on every round of every debug run: each
         // transmission is exactly one sender attempt, and no packet is
         // both delivered and lost to a fault.
         debug_assert_eq!(tx_total, transmissions, "Σ tx attempts ≠ transmissions");
         debug_assert!(
-            offered >= delivered + faulted,
-            "offered {offered} < delivered {delivered} + faulted {faulted}"
+            packets.offered >= packets.delivered + packets.dropped_fault,
+            "offered < delivered + faulted: {packets:?}"
         );
-        recorder.packets_offered(offered);
-        recorder.packets_delivered(delivered);
-        recorder.packets_dropped_fault(faulted);
-        self.offered += offered;
-        self.delivered += delivered;
-        self.dropped_fault += faulted;
+        recorder.packets(&packets);
+        self.packets.merge(&packets);
         self.transmissions += transmissions;
     }
 
     fn report(&self) -> LossyReport {
         LossyReport {
-            offered: self.offered,
-            delivered: self.delivered,
+            offered: self.packets.offered,
+            delivered: self.packets.delivered,
             transmissions: self.transmissions,
             total_energy: Energy::from_joules(self.energy),
-            dropped_fault: self.dropped_fault,
+            dropped_fault: self.packets.dropped_fault,
         }
     }
 }
@@ -651,7 +634,7 @@ pub fn simulate_lossy_gathering_faulted_par(
 }
 
 /// Reusable lossy-run session over one `(topology, config)` pair: the
-/// route cache (with its packed next-hop image) persists across runs, so
+/// route cache persists across runs, so
 /// every run after the first skips the Dijkstra build (the dominant
 /// fixed cost at city scale) and measures marginal round work only.
 /// Each run is bit-identical to the matching one-shot entry point,
@@ -1102,10 +1085,10 @@ mod tests {
             // per-worker floor, so `_par` must run one region —
             // observable only through the counters, because the results
             // are bit-identical either way.
-            reset_par_engagement_counters();
+            let before = (par_engaged_count(), par_serial_fallback_count());
             let lossy = par(&topo(), 10, 3, 8);
-            assert_eq!(par_serial_fallback_count(), 1);
-            assert_eq!(par_engaged_count(), 0);
+            assert_eq!(par_serial_fallback_count() - before.1, 1);
+            assert_eq!(par_engaged_count() - before.0, 0);
             assert_eq!(
                 lossy,
                 simulate_lossy_gathering(&topo(), &LossyConfig::bruised_channel(), 10, 3)
@@ -1117,29 +1100,29 @@ mod tests {
             // Past the two-worker floor, one worker still runs one region.
             let big = Topology::grid(91, Length::from_meters(30.0));
             assert!(big.len() >= 2 * PAR_MIN_NODES_PER_WORKER);
-            reset_par_engagement_counters();
+            let before = (par_engaged_count(), par_serial_fallback_count());
             let _ = par(&big, 1, 1, 1);
-            assert_eq!(par_serial_fallback_count(), 1);
-            assert_eq!(par_engaged_count(), 0);
+            assert_eq!(par_serial_fallback_count() - before.1, 1);
+            assert_eq!(par_engaged_count() - before.0, 0);
         }
 
         #[test]
         fn runs_past_the_floor_engage_and_count() {
             let big = Topology::grid(91, Length::from_meters(30.0));
-            reset_par_engagement_counters();
+            let before = (par_engaged_count(), par_serial_fallback_count());
             let two = par(&big, 2, 1, 2);
-            assert_eq!(par_engaged_count(), 1);
-            assert_eq!(par_serial_fallback_count(), 0);
+            assert_eq!(par_engaged_count() - before.0, 1);
+            assert_eq!(par_serial_fallback_count() - before.1, 0);
             assert_eq!(two, par(&big, 2, 1, 1), "two regions match one");
         }
 
         #[test]
         fn serial_entry_points_and_sessions_count_nothing() {
-            reset_par_engagement_counters();
+            let before = (par_engaged_count(), par_serial_fallback_count());
             let config = LossyConfig::bruised_channel();
             let _ = simulate_lossy_gathering(&topo(), &config, 5, 1);
             let _ = LossySession::new(&topo(), &config).run(5, 1);
-            assert_eq!((par_engaged_count(), par_serial_fallback_count()), (0, 0));
+            assert_eq!((par_engaged_count(), par_serial_fallback_count()), before);
         }
     }
 }

@@ -12,7 +12,11 @@
 //! recomputed only when the usable set actually differs from the one the
 //! routes were last built over, and each build pre-resolves per-node
 //! next-hop transmit costs and sink connectivity so the simulators'
-//! round loops touch no allocator and recompute no distances.
+//! round loops touch no allocator and recompute no distances. The cache
+//! holds its table in one packed form only — a 4-byte next-hop id per
+//! node, `u32::MAX` when routeless — which Dijkstra, the repair wave and
+//! the round kernels all read and write directly;
+//! [`next_hop`](RouteCache::next_hop) decodes one entry.
 //!
 //! Since the city-scale work, a usable-set *transition* no longer pays a
 //! full-graph Dijkstra: the cache keeps the final distance labels of the
@@ -27,8 +31,9 @@
 //! `tests/differential.rs`, which drive random topologies × random fault
 //! schedules through both paths. The full-rebuild path stays in-tree as
 //! that oracle, reachable via [`set_route_repair_enabled`]. Repairs are
-//! observable through [`route_repair_count`] next to the existing
-//! [`route_build_count`].
+//! observable through [`route_repair_count`] next to
+//! [`route_build_count`]; both only ever grow, so callers measure a run
+//! as the difference of two reads.
 
 use crate::topology::{NodeId, Topology};
 use ami_radio::RadioEnergyModel;
@@ -75,9 +80,9 @@ fn note_route_repair() {
     ROUTE_REPAIRS.with(|count| count.set(count.get() + 1));
 }
 
-/// Number of route-table builds performed on this thread since the last
-/// [`reset_route_build_count`]. Test instrumentation: the epoch-cache
-/// regression tests count builds across whole simulations with it.
+/// Number of route-table builds performed on this thread so far. Test
+/// instrumentation: the epoch-cache regression tests count the builds of
+/// a whole simulation as the difference of a read before and after it.
 ///
 /// # Thread safety
 ///
@@ -92,13 +97,8 @@ pub fn route_build_count() -> u64 {
     ROUTE_BUILDS.with(Cell::get)
 }
 
-/// Resets this thread's [`route_build_count`] to zero.
-pub fn reset_route_build_count() {
-    ROUTE_BUILDS.with(|count| count.set(0));
-}
-
-/// Number of incremental route repairs performed on this thread since
-/// the last [`reset_route_repair_count`]. A usable-set transition costs
+/// Number of incremental route repairs performed on this thread so far.
+/// A usable-set transition costs
 /// one repair instead of one build whenever the cache can splice the
 /// affected subtrees; builds + repairs together account for every
 /// transition.
@@ -110,13 +110,8 @@ pub fn route_repair_count() -> u64 {
     ROUTE_REPAIRS.with(Cell::get)
 }
 
-/// Resets this thread's [`route_repair_count`] to zero.
-pub fn reset_route_repair_count() {
-    ROUTE_REPAIRS.with(|count| count.set(0));
-}
-
 /// Whether [`RouteCache`] repairs incrementally on this thread.
-pub fn route_repair_enabled() -> bool {
+fn route_repair_enabled() -> bool {
     REPAIR_ENABLED.with(Cell::get)
 }
 
@@ -148,20 +143,8 @@ pub fn build_routes(
     radio: &RadioEnergyModel,
     max_hop: Length,
 ) -> Vec<Option<NodeId>> {
-    note_route_build();
-    match strategy {
-        RoutingStrategy::DirectToSink => topology
-            .ids()
-            .map(|id| {
-                if id == topology.sink() {
-                    None
-                } else {
-                    Some(topology.sink())
-                }
-            })
-            .collect(),
-        RoutingStrategy::MinimumEnergy => dijkstra_to_sink(topology, radio, max_hop, None),
-    }
+    let usable = vec![true; topology.len()];
+    build_routes_over(topology, strategy, radio, max_hop, &usable)
 }
 
 /// [`build_routes`] restricted to the `usable` node subset: nodes with
@@ -169,7 +152,7 @@ pub fn build_routes(
 /// always usable). Equivalent to rebuilding on the sub-topology of the
 /// usable nodes, but reuses the full topology's cached CSR hop graph —
 /// the id-order-preserving subset walk keeps the result bit-identical
-/// to a compact rebuild (pinned in `gather::tests`).
+/// to a compact rebuild (pinned in `tests/differential.rs`).
 ///
 /// # Panics
 ///
@@ -182,21 +165,24 @@ pub fn build_routes_over(
     usable: &[bool],
 ) -> Vec<Option<NodeId>> {
     assert!(usable.len() >= topology.len(), "usable mask too short");
-    note_route_build();
-    let sink = topology.sink();
-    match strategy {
-        RoutingStrategy::DirectToSink => topology
-            .ids()
-            .map(|id| {
-                if id != sink && usable[id.0] {
-                    Some(sink)
-                } else {
-                    None
-                }
-            })
-            .collect(),
-        RoutingStrategy::MinimumEnergy => dijkstra_to_sink(topology, radio, max_hop, Some(usable)),
-    }
+    let mut cache = RouteCache::new(topology.len());
+    cache.build(
+        topology,
+        strategy,
+        radio,
+        max_hop,
+        &usable[..topology.len()],
+    );
+    cache.parent.into_iter().map(decode).collect()
+}
+
+/// The packed next-hop marker for "no route" (routeless nodes and the
+/// sink).
+pub(crate) const NO_ROUTE: u32 = u32::MAX;
+
+/// A packed next hop as a [`NodeId`], `None` for [`NO_ROUTE`].
+fn decode(next: u32) -> Option<NodeId> {
+    (next != NO_ROUTE).then_some(NodeId(next as usize))
 }
 
 /// A pending heap entry; ordered by `(dist, node)` so ties settle
@@ -226,49 +212,25 @@ impl PartialOrd for HeapEntry {
 }
 
 /// Dijkstra from the sink outwards over the bounded-range CSR hop
-/// graph; each node's parent toward the sink becomes its next hop.
-/// With `usable`, non-usable nodes are treated as absent.
-fn dijkstra_to_sink(
-    topology: &Topology,
-    radio: &RadioEnergyModel,
-    max_hop: Length,
-    usable: Option<&[bool]>,
-) -> Vec<Option<NodeId>> {
-    let n = topology.len();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut parent: Vec<Option<NodeId>> = vec![None; n];
-    let mut heap: BinaryHeap<Reverse<HeapEntry>> = BinaryHeap::new();
-    dijkstra_into(
-        topology,
-        radio,
-        max_hop,
-        usable,
-        &mut dist,
-        &mut parent,
-        &mut heap,
-    );
-    parent
-}
-
-/// The Dijkstra core behind [`dijkstra_to_sink`] and the full-build arm
-/// of [`RouteCache`]: resets `dist`/`parent` in place and fills both,
-/// reusing the caller's heap scratch. Stale heap entries are skipped by
-/// the `d > dist[u]` check alone — with strictly positive weights a
-/// node's first pop carries its final distance, so a separate visited
-/// set changes nothing.
+/// graph, treating non-usable nodes as absent; each node's parent
+/// toward the sink becomes its next hop. Resets `dist`/`parent` in
+/// place and fills both, reusing the caller's heap scratch. Stale heap
+/// entries are skipped by the `d > dist[u]` check alone — with strictly
+/// positive weights a node's first pop carries its final distance, so a
+/// separate visited set changes nothing.
 fn dijkstra_into(
     topology: &Topology,
     radio: &RadioEnergyModel,
     max_hop: Length,
-    usable: Option<&[bool]>,
+    usable: &[bool],
     dist: &mut [f64],
-    parent: &mut [Option<NodeId>],
+    parent: &mut [u32],
     heap: &mut BinaryHeap<Reverse<HeapEntry>>,
 ) {
     let sink = topology.sink();
     let csr = topology.csr_within(max_hop);
     dist.fill(f64::INFINITY);
-    parent.fill(None);
+    parent.fill(NO_ROUTE);
     heap.clear();
     dist[sink.0] = 0.0;
     heap.push(Reverse(HeapEntry {
@@ -284,10 +246,8 @@ fn dijkstra_into(
         let (targets, hops_m) = csr.neighbors_with_distance(u);
         for (&target, &hop_m) in targets.iter().zip(hops_m) {
             let v = target as usize;
-            if let Some(mask) = usable {
-                if v != sink.0 && !mask[v] {
-                    continue;
-                }
+            if v != sink.0 && !usable[v] {
+                continue;
             }
             let weight = radio
                 .hop_energy_per_bit(Length::from_meters(hop_m))
@@ -295,7 +255,7 @@ fn dijkstra_into(
             let candidate = dist[u] + weight;
             if candidate < dist[v] {
                 dist[v] = candidate;
-                parent[v] = Some(NodeId(u));
+                parent[v] = node;
                 heap.push(Reverse(HeapEntry {
                     dist: candidate,
                     node: target,
@@ -365,9 +325,8 @@ pub fn route_to_sink(table: &[Option<NodeId>], topology: &Topology, node: NodeId
 /// ```
 #[derive(Debug, Clone)]
 pub struct RouteCache {
-    table: Vec<Option<NodeId>>,
-    /// `table` packed for hop-walk hot loops: a 4-byte next hop per
-    /// node, `u32::MAX` when routeless (or the sink).
+    /// The next-hop table, packed: a 4-byte next-hop id per node,
+    /// `u32::MAX` when routeless (or the sink).
     parent: Vec<u32>,
     routed_over: Vec<bool>,
     connected: Vec<bool>,
@@ -409,8 +368,7 @@ impl RouteCache {
     /// [`ensure`](RouteCache::ensure) always builds.
     pub fn new(nodes: usize) -> Self {
         Self {
-            table: vec![None; nodes],
-            parent: vec![u32::MAX; nodes],
+            parent: vec![NO_ROUTE; nodes],
             routed_over: vec![false; nodes],
             connected: vec![false; nodes],
             tx_cost: vec![0.0; nodes],
@@ -446,7 +404,7 @@ impl RouteCache {
         volume: DataVolume,
         usable: &[bool],
     ) -> bool {
-        let n = self.table.len();
+        let n = self.parent.len();
         assert_eq!(topology.len(), n, "topology/cache node count mismatch");
         assert_eq!(usable.len(), n, "usable mask/cache node count mismatch");
         if self.primed && self.routed_over == usable {
@@ -461,49 +419,60 @@ impl RouteCache {
             note_route_repair();
             self.repairs += 1;
         } else {
-            match strategy {
-                RoutingStrategy::DirectToSink => {
-                    let sink = topology.sink();
-                    for id in topology.ids() {
-                        self.table[id.0] = if id != sink && usable[id.0] {
-                            Some(sink)
-                        } else {
-                            None
-                        };
-                    }
-                    self.dist.fill(f64::INFINITY);
-                }
-                RoutingStrategy::MinimumEnergy => {
-                    dijkstra_into(
-                        topology,
-                        radio,
-                        max_hop,
-                        Some(usable),
-                        &mut self.dist,
-                        &mut self.table,
-                        &mut self.scratch.heap,
-                    );
-                }
-            }
-            note_route_build();
-            self.builds += 1;
+            self.build(topology, strategy, radio, max_hop, usable);
         }
         self.routed_over.copy_from_slice(usable);
-        for id in topology.ids() {
-            (self.parent[id.0], self.tx_cost[id.0]) = match self.table[id.0] {
-                Some(next) => (
-                    next.0 as u32,
-                    radio
-                        .transmit_energy(volume, topology.distance(id, next))
-                        .as_joules(),
-                ),
-                None => (u32::MAX, 0.0),
+        for (id, (&next, cost)) in self.parent.iter().zip(&mut self.tx_cost).enumerate() {
+            *cost = match decode(next) {
+                Some(next) => radio
+                    .transmit_energy(volume, topology.distance(NodeId(id), next))
+                    .as_joules(),
+                None => 0.0,
             };
         }
         self.resolve_connectivity(topology.sink());
         self.built_with = Some(strategy);
         self.primed = true;
         true
+    }
+
+    /// The one route builder: fills the table and the distance labels
+    /// (infinite under [`RoutingStrategy::DirectToSink`]) with
+    /// `strategy`'s routes over the `usable` nodes, and counts one build.
+    /// Serves both the full-build arm of [`ensure`](Self::ensure) and
+    /// [`build_routes_over`].
+    fn build(
+        &mut self,
+        topology: &Topology,
+        strategy: RoutingStrategy,
+        radio: &RadioEnergyModel,
+        max_hop: Length,
+        usable: &[bool],
+    ) {
+        note_route_build();
+        self.builds += 1;
+        match strategy {
+            RoutingStrategy::DirectToSink => {
+                let sink = topology.sink().0;
+                for (id, next) in self.parent.iter_mut().enumerate() {
+                    *next = if id != sink && usable[id] {
+                        sink as u32
+                    } else {
+                        NO_ROUTE
+                    };
+                }
+                self.dist.fill(f64::INFINITY);
+            }
+            RoutingStrategy::MinimumEnergy => dijkstra_into(
+                topology,
+                radio,
+                max_hop,
+                usable,
+                &mut self.dist,
+                &mut self.parent,
+                &mut self.scratch.heap,
+            ),
+        }
     }
 
     /// Splices the cached minimum-energy table from the previous usable
@@ -527,7 +496,7 @@ impl RouteCache {
         max_hop: Length,
         usable: &[bool],
     ) {
-        let n = self.table.len();
+        let n = self.parent.len();
         let sink = topology.sink().0;
         let csr = topology.csr_within(max_hop);
         let s = &mut self.scratch;
@@ -536,8 +505,10 @@ impl RouteCache {
         // invalidation is O(subtree) instead of O(N) per changed node.
         s.child_off.clear();
         s.child_off.resize(n + 1, 0);
-        for parent in self.table.iter().flatten() {
-            s.child_off[parent.0 + 1] += 1;
+        for &p in &self.parent {
+            if p != NO_ROUTE {
+                s.child_off[p as usize + 1] += 1;
+            }
         }
         for p in 0..n {
             s.child_off[p + 1] += s.child_off[p];
@@ -546,11 +517,11 @@ impl RouteCache {
         s.child_cursor.extend_from_slice(&s.child_off[..n]);
         s.child_ids.clear();
         s.child_ids.resize(s.child_off[n] as usize, 0);
-        for (v, parent) in self.table.iter().enumerate() {
-            if let Some(p) = parent {
-                let slot = s.child_cursor[p.0] as usize;
+        for (v, &p) in self.parent.iter().enumerate() {
+            if p != NO_ROUTE {
+                let slot = s.child_cursor[p as usize] as usize;
                 s.child_ids[slot] = v as u32;
-                s.child_cursor[p.0] += 1;
+                s.child_cursor[p as usize] += 1;
             }
         }
 
@@ -566,7 +537,7 @@ impl RouteCache {
             }
             if !now_usable {
                 self.dist[v] = f64::INFINITY;
-                self.table[v] = None;
+                self.parent[v] = NO_ROUTE;
             }
             s.in_affected[v] = true;
             s.affected.push(v as u32);
@@ -585,7 +556,7 @@ impl RouteCache {
                 if !s.in_affected[c] {
                     s.in_affected[c] = true;
                     self.dist[c] = f64::INFINITY;
-                    self.table[c] = None;
+                    self.parent[c] = NO_ROUTE;
                     s.affected.push(c as u32);
                 }
             }
@@ -627,7 +598,7 @@ impl RouteCache {
             }
             if best_pred != usize::MAX {
                 self.dist[v] = best;
-                self.table[v] = Some(NodeId(best_pred));
+                self.parent[v] = best_pred as u32;
                 s.heap.push(Reverse(HeapEntry {
                     dist: best,
                     node: vu,
@@ -659,15 +630,15 @@ impl RouteCache {
                 let dv = self.dist[v];
                 if candidate < dv {
                     self.dist[v] = candidate;
-                    self.table[v] = Some(NodeId(u));
+                    self.parent[v] = node;
                     s.heap.push(Reverse(HeapEntry {
                         dist: candidate,
                         node: target,
                     }));
                 } else if candidate == dv {
-                    if let Some(incumbent) = self.table[v] {
+                    if let Some(incumbent) = decode(self.parent[v]) {
                         if (du, u) < (self.dist[incumbent.0], incumbent.0) {
-                            self.table[v] = Some(NodeId(u));
+                            self.parent[v] = node;
                         }
                     }
                 }
@@ -679,7 +650,7 @@ impl RouteCache {
     /// node is marked by the verdict of the first already-resolved node
     /// (or the sink / a dead end / the cycle bound) its chain reaches.
     fn resolve_connectivity(&mut self, sink: NodeId) {
-        let n = self.table.len();
+        let n = self.parent.len();
         let state = &mut self.scratch.conn_state;
         state.clear();
         state.resize(n, 0);
@@ -695,7 +666,7 @@ impl RouteCache {
                     break state[current];
                 }
                 chain.push(current as u32);
-                match self.table[current] {
+                match decode(self.parent[current]) {
                     None => break 2,
                     Some(next) if next == sink => break 1,
                     // Longer than n hops means a cycle: disconnected,
@@ -717,14 +688,9 @@ impl RouteCache {
         }
     }
 
-    /// The cached next-hop table.
-    pub fn table(&self) -> &[Option<NodeId>] {
-        &self.table
-    }
-
     /// Next hop of `node`, `None` when routeless (or the sink).
     pub fn next_hop(&self, node: NodeId) -> Option<NodeId> {
-        self.table[node.0]
+        decode(self.parent[node.0])
     }
 
     /// Whether `node`'s cached route reaches the sink.
@@ -742,20 +708,19 @@ impl RouteCache {
     /// of [`tx_cost`](Self::tx_cost) for kernels that fold charges over
     /// many nodes per round (the hop walks and the lossy commit index
     /// this slice directly instead of paying a method call per hop).
-    pub fn tx_costs(&self) -> &[f64] {
+    pub(crate) fn tx_costs(&self) -> &[f64] {
         &self.tx_cost
     }
 
     /// All per-node connectivity flags, indexed by raw id — the bulk
     /// form of [`is_connected`](Self::is_connected).
-    pub fn connected_flags(&self) -> &[bool] {
+    pub(crate) fn connected_flags(&self) -> &[bool] {
         &self.connected
     }
 
-    /// The table packed as raw next-hop ids (`u32::MAX` = routeless),
-    /// refreshed with the table by every build or repair: the hop walks
-    /// chase routes through two flat reads per hop (this and
-    /// [`tx_costs`](Self::tx_costs)) instead of 16-byte `Option` fetches.
+    /// The packed next-hop table itself (`u32::MAX` = routeless): the
+    /// round kernels chase routes through two flat reads per hop (this
+    /// and [`tx_costs`](Self::tx_costs)).
     pub(crate) fn parents(&self) -> &[u32] {
         &self.parent
     }
@@ -1112,7 +1077,9 @@ mod tests {
             hop,
             &usable,
         );
-        assert_eq!(cache.table(), fresh.as_slice());
+        for id in topo.ids() {
+            assert_eq!(cache.next_hop(id), fresh[id.0], "node {id}");
+        }
     }
 
     #[test]
@@ -1130,6 +1097,7 @@ mod tests {
             bits,
             &usable,
         );
+        let table = build_routes(&topo, RoutingStrategy::MinimumEnergy, &radio(), hop);
         for id in topo.ids() {
             match cache.next_hop(id) {
                 Some(next) => {
@@ -1143,7 +1111,7 @@ mod tests {
                     );
                     assert_eq!(
                         cache.is_connected(id),
-                        !route_to_sink(cache.table(), &topo, id).is_empty()
+                        !route_to_sink(&table, &topo, id).is_empty()
                     );
                 }
                 None => assert_eq!(cache.tx_cost(id), 0.0),
@@ -1153,7 +1121,6 @@ mod tests {
 
     #[test]
     fn build_count_hook_tracks_thread_local_builds() {
-        reset_route_build_count();
         let topo = Topology::grid(3, Length::from_meters(20.0));
         let before = route_build_count();
         let _ = build_routes(

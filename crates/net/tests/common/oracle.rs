@@ -26,7 +26,7 @@ use ami_net::{
 };
 use ami_radio::RadioEnergyModel;
 use ami_sim::fault::{FaultSchedule, FaultTimeline};
-use ami_sim::obs::{EnergyCategory, Recorder};
+use ami_sim::obs::{EnergyCategory, PacketCounters, Recorder};
 use ami_sim::rng::packet_rng;
 use ami_units::{DataVolume, Energy, Length};
 use rand::RngExt;
@@ -109,7 +109,7 @@ pub fn rebuild_over_usable(
 /// folding its private energy subtotal into the run total as soon as
 /// the walk ends; each round then charges every node once per
 /// `(node, category)` — all `Tx` ascending, then all `RxRelay` — from
-/// its integer attempt counts.
+/// its integer attempt counts, and reports its packet fates as one tally.
 pub fn lossy_reference_run<R: Recorder>(
     topology: &Topology,
     config: &LossyConfig,
@@ -163,12 +163,12 @@ pub fn lossy_reference_run<R: Recorder>(
             &usable,
         );
 
+        let mut tally = PacketCounters::new();
         for id in topology.sensor_ids() {
             if down_now[id.0] || !cache.is_connected(id) {
                 continue;
             }
-            report.offered += 1;
-            recorder.packet_offered();
+            tally.offered += 1;
             let mut rng = packet_rng(seed, round, id.0 as u64);
             let mut pkt_energy = 0.0f64;
             let mut from = id;
@@ -212,17 +212,15 @@ pub fn lossy_reference_run<R: Recorder>(
             };
             energy += pkt_energy;
             match fate {
-                Fate::Delivered => {
-                    report.delivered += 1;
-                    recorder.packet_delivered();
-                }
-                Fate::Fault => {
-                    report.dropped_fault += 1;
-                    recorder.packet_dropped_fault();
-                }
+                Fate::Delivered => tally.delivered += 1,
+                Fate::Fault => tally.dropped_fault += 1,
                 Fate::Channel => {}
             }
         }
+        report.offered += tally.offered;
+        report.delivered += tally.delivered;
+        report.dropped_fault += tally.dropped_fault;
+        recorder.packets(&tally);
 
         for (id, count) in tx_attempts.iter_mut().enumerate() {
             if *count > 0 {
@@ -254,8 +252,9 @@ pub fn lossy_reference_run<R: Recorder>(
 /// live, funded, powered-on sensor hop by hop: a packet stops at the
 /// first hop whose sender or receiver is dead or exhausted
 /// (`dropped_dead_hop`), or after the sender pays for a hop onto a
-/// fault-downed node or across a downed link (`dropped_fault`). The
-/// end-of-round sweep buries exhausted nodes.
+/// fault-downed node or across a downed link (`dropped_fault`); the
+/// round's fates reach the recorder as one tally. The end-of-round sweep
+/// buries exhausted nodes.
 pub fn gather_reference_run<R: Recorder>(
     topology: &Topology,
     strategy: RoutingStrategy,
@@ -319,13 +318,14 @@ pub fn gather_reference_run<R: Recorder>(
                 recorder.charge(id.0, EnergyCategory::Idle, idle);
             }
         }
+        let mut tally = PacketCounters::new();
         for id in topology.sensor_ids() {
             if !alive[id.0] || budget[id.0] <= 0.0 || down_now[id.0] {
                 continue;
             }
-            recorder.packet_offered();
+            tally.offered += 1;
             if !cache.is_connected(id) {
-                recorder.packet_dropped_disconnected();
+                tally.dropped_disconnected += 1;
                 continue;
             }
             let mut from = id;
@@ -356,14 +356,13 @@ pub fn gather_reference_run<R: Recorder>(
                 from = hop;
             };
             match fate {
-                Fate::Delivered => {
-                    delivered += 1;
-                    recorder.packet_delivered();
-                }
-                Fate::DeadHop => recorder.packet_dropped_dead_hop(),
-                Fate::Fault => recorder.packet_dropped_fault(),
+                Fate::Delivered => tally.delivered += 1,
+                Fate::DeadHop => tally.dropped_dead_hop += 1,
+                Fate::Fault => tally.dropped_fault += 1,
             }
         }
+        delivered += tally.delivered;
+        recorder.packets(&tally);
 
         for id in topology.sensor_ids() {
             if alive[id.0] && budget[id.0] <= 0.0 {

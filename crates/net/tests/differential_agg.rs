@@ -20,9 +20,8 @@
 mod common;
 
 use ami_net::{
-    agg_engaged_count, agg_fallback_count, reset_agg_counters, simulate_gathering,
-    simulate_gathering_faulted_observed, GatherSession, NetworkConfig, NetworkReport,
-    RoutingStrategy, Topology,
+    agg_engaged_count, agg_fallback_count, simulate_gathering, simulate_gathering_faulted_observed,
+    GatherSession, NetworkConfig, NetworkReport, RoutingStrategy, Topology,
 };
 use ami_sim::fault::{FaultEvent, FaultSchedule};
 use ami_sim::obs::{LedgerRecorder, NullRecorder, RunManifest};
@@ -138,10 +137,10 @@ fn death_rounds_fall_back_to_the_hop_walk_and_are_counted() {
     let topo = Topology::random(64, Length::from_meters(180.0), 7);
     let mut config = NetworkConfig::sensor_default();
     config.node_energy = Energy::from_joules(0.008);
-    reset_agg_counters();
+    let (engaged, fallbacks) = (agg_engaged_count(), agg_fallback_count());
     let agg = simulate_gathering(&topo, RoutingStrategy::MinimumEnergy, &config, 30);
-    let engaged = agg_engaged_count();
-    let fallbacks = agg_fallback_count();
+    let engaged = agg_engaged_count() - engaged;
+    let fallbacks = agg_fallback_count() - fallbacks;
     assert!(
         engaged > 0,
         "healthy early rounds must take the aggregated path"
@@ -196,11 +195,11 @@ fn mid_round_death_at_the_packet_boundary_is_exact() {
     let mut config = NetworkConfig::sensor_default();
     config.node_energy = Energy::from_joules(relay_round * 1.5);
     let oracle = reference_report(&topo, &config, 6);
-    reset_agg_counters();
+    let fallbacks = agg_fallback_count();
     let agg = simulate_gathering(&topo, RoutingStrategy::MinimumEnergy, &config, 6);
     assert_eq!(agg, oracle, "mid-round death must be bit-exact");
     assert!(
-        agg_fallback_count() > 0,
+        agg_fallback_count() - fallbacks > 0,
         "the death round must fail the margin check"
     );
     // `first_death_round` counts completed rounds: a mid-round-2 death
@@ -221,13 +220,21 @@ fn sessions_reuse_routes_without_changing_results() {
     let config = NetworkConfig::sensor_default();
     let one_shot = simulate_gathering(&topo, RoutingStrategy::MinimumEnergy, &config, 8);
     let mut session = GatherSession::new(&topo, RoutingStrategy::MinimumEnergy, &config);
-    reset_agg_counters();
+    let (engaged, fallbacks) = (agg_engaged_count(), agg_fallback_count());
     for trial in 0..3 {
         let run = session.run(8);
         assert_eq!(run, one_shot, "session trial {trial}");
     }
-    assert_eq!(agg_engaged_count(), 24, "all session rounds aggregate");
-    assert_eq!(agg_fallback_count(), 0, "healthy rounds never fall back");
+    assert_eq!(
+        agg_engaged_count() - engaged,
+        24,
+        "all session rounds aggregate"
+    );
+    assert_eq!(
+        agg_fallback_count() - fallbacks,
+        0,
+        "healthy rounds never fall back"
+    );
 }
 
 #[test]

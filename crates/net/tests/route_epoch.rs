@@ -4,10 +4,7 @@
 
 mod common;
 
-use ami_net::routing::{
-    reset_route_build_count, reset_route_repair_count, route_build_count, route_repair_count,
-    RouteCache,
-};
+use ami_net::routing::{route_build_count, route_repair_count, RouteCache};
 use ami_net::{
     build_routes_over, simulate_gathering, simulate_gathering_faulted, simulate_lossy_gathering,
     LossyConfig, NetworkConfig, RoutingStrategy, Topology,
@@ -58,7 +55,9 @@ proptest! {
                 config.max_hop,
                 &usable,
             );
-            prop_assert_eq!(cache.table(), fresh.as_slice(), "round {}", round);
+            for id in topo.ids() {
+                prop_assert_eq!(cache.next_hop(id), fresh[id.0], "round {} node {}", round, id);
+            }
             for (id, down) in down_prev.iter_mut().enumerate() {
                 *down = id != 0 && faults.node_down(id, round);
             }
@@ -107,10 +106,10 @@ proptest! {
 fn healthy_gather_run_builds_routes_exactly_once() {
     let topo = Topology::random(60, Length::from_meters(160.0), 9);
     let config = NetworkConfig::sensor_default();
-    reset_route_build_count();
+    let before = route_build_count();
     let report = simulate_gathering(&topo, RoutingStrategy::MinimumEnergy, &config, 200);
     assert_eq!(
-        route_build_count(),
+        route_build_count() - before,
         1,
         "a healthy run must pay for exactly one route build"
     );
@@ -124,9 +123,9 @@ fn healthy_gather_run_builds_routes_exactly_once() {
 fn healthy_lossy_run_builds_routes_exactly_once() {
     let topo = Topology::random(40, Length::from_meters(130.0), 4);
     let config = LossyConfig::bruised_channel();
-    reset_route_build_count();
+    let before = route_build_count();
     let _ = simulate_lossy_gathering(&topo, &config, 120, 7);
-    assert_eq!(route_build_count(), 1);
+    assert_eq!(route_build_count() - before, 1);
 }
 
 #[test]
@@ -142,12 +141,15 @@ fn outage_costs_exactly_two_repairs_and_no_extra_builds() {
         from: 3,
         until: 6,
     }]);
-    reset_route_build_count();
-    reset_route_repair_count();
+    let (builds, repairs) = (route_build_count(), route_repair_count());
     let _ = simulate_gathering_faulted(&topo, RoutingStrategy::MinimumEnergy, &config, 10, &faults);
-    assert_eq!(route_build_count(), 1, "only the initial build may be full");
     assert_eq!(
-        route_repair_count(),
+        route_build_count() - builds,
+        1,
+        "only the initial build may be full"
+    );
+    assert_eq!(
+        route_repair_count() - repairs,
         2,
         "power-off and reboot each cost one incremental repair"
     );
@@ -171,13 +173,12 @@ fn reboot_landing_with_a_second_death_repairs_once() {
         },
         FaultEvent::NodeDeath { node: 10, round: 4 },
     ]);
-    reset_route_build_count();
-    reset_route_repair_count();
+    let (builds, repairs) = (route_build_count(), route_repair_count());
     let report =
         simulate_gathering_faulted(&topo, RoutingStrategy::MinimumEnergy, &config, 10, &faults);
-    assert_eq!(route_build_count(), 1, "round-0 build only");
+    assert_eq!(route_build_count() - builds, 1, "round-0 build only");
     assert_eq!(
-        route_repair_count(),
+        route_repair_count() - repairs,
         2,
         "power-off at round 2; reboot + death folded into one repair at round 5"
     );

@@ -6,9 +6,7 @@
 //! holds exactly one test so no concurrent test pollutes the allocation
 //! counter.)
 
-use ami_net::routing::{
-    reset_route_build_count, reset_route_repair_count, route_build_count, route_repair_count,
-};
+use ami_net::routing::{route_build_count, route_repair_count};
 use ami_net::{
     simulate_gathering, simulate_gathering_faulted, NetworkConfig, RoutingStrategy, Topology,
 };
@@ -83,10 +81,9 @@ fn scale_smoke_100k_nodes_route_repair_and_gather() {
     let config = NetworkConfig::sensor_default();
 
     // Healthy pass: one full build, packets flow.
-    reset_route_build_count();
-    reset_route_repair_count();
+    let builds = route_build_count();
     let report = simulate_gathering(&topo, RoutingStrategy::MinimumEnergy, &config, 3);
-    assert_eq!(route_build_count(), 1, "healthy run: one build");
+    assert_eq!(route_build_count() - builds, 1, "healthy run: one build");
     assert!(report.delivered_packets > 0, "the city must deliver");
 
     // Faulted pass: every transition fires by round 5, so a 3x longer
@@ -113,8 +110,7 @@ fn scale_smoke_100k_nodes_route_repair_and_gather() {
             until: 3,
         },
     ]);
-    reset_route_build_count();
-    reset_route_repair_count();
+    let (builds, repairs) = (route_build_count(), route_repair_count());
     let short = steady_allocations(2, || {
         let _ =
             simulate_gathering_faulted(&topo, RoutingStrategy::MinimumEnergy, &config, 6, &faults);
@@ -128,9 +124,13 @@ fn scale_smoke_100k_nodes_route_repair_and_gather() {
         "faulted rounds allocated at n=100k ({short} vs {long} allocations)"
     );
     assert!(short > 0, "the counter must actually be counting");
-    assert_eq!(route_build_count(), 4, "one full build per faulted run");
     assert_eq!(
-        route_repair_count(),
+        route_build_count() - builds,
+        4,
+        "one full build per faulted run"
+    );
+    assert_eq!(
+        route_repair_count() - repairs,
         12,
         "three transitions per run, each an incremental repair"
     );

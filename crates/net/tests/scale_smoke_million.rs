@@ -9,8 +9,8 @@
 //! binary so nothing else inflates the RSS high-water mark.)
 
 use ami_net::{
-    agg_engaged_count, agg_fallback_count, reset_agg_counters, GatherSession, LossyConfig,
-    LossySession, NetworkConfig, RoutingStrategy, Topology,
+    agg_engaged_count, agg_fallback_count, GatherSession, LossyConfig, LossySession, NetworkConfig,
+    RoutingStrategy, Topology,
 };
 use ami_sim::fault::FaultSchedule;
 use ami_sim::obs::RingRecorder;
@@ -54,14 +54,18 @@ fn scale_smoke_million_nodes_gather_and_lossy_bounded_memory() {
     // engagement), and every sensor's residual must fold into the
     // ring's running stats while the ring itself retains only its
     // fixed-capacity tail.
-    reset_agg_counters();
+    let (engaged, fallbacks) = (agg_engaged_count(), agg_fallback_count());
     let mut sink = RingRecorder::with_capacity(1024);
     let mut session = GatherSession::new(&topo, RoutingStrategy::MinimumEnergy, &config);
     let report = session.run_faulted_with(2, &FaultSchedule::empty(), &mut sink);
     assert!(report.delivered_packets > 0, "the megacity must deliver");
     assert_eq!(report.first_death_round, None, "two rounds cannot exhaust");
-    assert_eq!(agg_engaged_count(), 2, "both rounds aggregate");
-    assert_eq!(agg_fallback_count(), 0, "healthy rounds never fall back");
+    assert_eq!(agg_engaged_count() - engaged, 2, "both rounds aggregate");
+    assert_eq!(
+        agg_fallback_count() - fallbacks,
+        0,
+        "healthy rounds never fall back"
+    );
     let stats = sink.stats();
     assert_eq!(
         stats.count,

@@ -125,11 +125,11 @@ fn healthy_round_loops_allocate_nothing_per_round() {
         "two-region lossy rounds allocated ({regions_short} vs {regions_long} allocations)"
     );
 
-    // Session runs: the route cache (with its packed next-hop image) and
-    // the aggregation scratch (tally arrays, finals, the memoized value
-    // stream) persist across runs, so a warm rerun allocates only the
-    // fresh per-run state — flat in the round count and strictly less
-    // than a one-shot run, which rebuilds routes and scratch.
+    // Session runs: the route cache persists across runs, so a warm
+    // rerun allocates only the fresh per-run state (budgets, the frame,
+    // the aggregation scratch with its memoized value stream) — flat in
+    // the round count and strictly less than a one-shot run, which also
+    // rebuilds routes.
     let mut session = GatherSession::new(&topo, RoutingStrategy::MinimumEnergy, &config);
     let _ = session.run(10);
     let session_short = steady_allocations(5, || {

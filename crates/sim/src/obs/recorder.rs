@@ -6,6 +6,11 @@
 //! nothing costs nothing. Instrumented entry points pass
 //! [`LedgerRecorder`], which fills a pre-sized [`EnergyLedger`] and
 //! [`PacketCounters`] with plain arithmetic (no per-event allocation).
+//!
+//! Energy arrives per charge, because float folds depend on order.
+//! Packet fates arrive as whole [`PacketCounters`] tallies — the kernels
+//! count one round's fates and report them once — because integer
+//! counts add up to the same totals however they are batched.
 
 use super::counters::PacketCounters;
 use super::ledger::{EnergyCategory, EnergyLedger};
@@ -13,7 +18,7 @@ use super::ledger::{EnergyCategory, EnergyLedger};
 /// Receives per-event observations from a simulation hot loop.
 ///
 /// Implementations must be cheap: these methods are called per charge
-/// and per packet. They must also be *passive* — a recorder never feeds
+/// and per round. They must also be *passive* — a recorder never feeds
 /// back into simulation state, so recording cannot change results.
 pub trait Recorder {
     /// Whether trace series driven by this recorder should retain full
@@ -24,49 +29,12 @@ pub trait Recorder {
 
     /// `joules` were spent by `node` on `category` activity.
     fn charge(&mut self, node: usize, category: EnergyCategory, joules: f64);
-    /// A live, funded node generated a packet.
-    fn packet_offered(&mut self);
-    /// A packet reached the sink.
-    fn packet_delivered(&mut self);
-    /// A packet was aborted en route on a budget-exhausted hop.
-    fn packet_dropped_dead_hop(&mut self);
-    /// A packet was generated by a node with no route to the sink.
-    fn packet_dropped_disconnected(&mut self);
-    /// A packet was lost to an injected fault (downed hop or link —
-    /// see `ami_sim::fault`).
-    fn packet_dropped_fault(&mut self);
+    /// A batch of packet fates — one round's, as the kernels report
+    /// them — to add to the recorder's counters.
+    fn packets(&mut self, tally: &PacketCounters);
     /// `node` finished the run with `joules` of budget left
     /// (negative = overdraft).
     fn record_residual(&mut self, node: usize, joules: f64);
-
-    /// Bulk form of [`packet_offered`](Self::packet_offered): `count`
-    /// packets were offered. The default loops the per-event hook, so
-    /// every implementation stays exactly equivalent to `count` single
-    /// calls; counter-backed recorders override with one addition. The
-    /// region-parallel kernel commits whole-round tallies through these.
-    fn packets_offered(&mut self, count: u64) {
-        for _ in 0..count {
-            self.packet_offered();
-        }
-    }
-    /// Bulk form of [`packet_delivered`](Self::packet_delivered).
-    fn packets_delivered(&mut self, count: u64) {
-        for _ in 0..count {
-            self.packet_delivered();
-        }
-    }
-    /// Bulk form of [`packet_dropped_disconnected`](Self::packet_dropped_disconnected).
-    fn packets_dropped_disconnected(&mut self, count: u64) {
-        for _ in 0..count {
-            self.packet_dropped_disconnected();
-        }
-    }
-    /// Bulk form of [`packet_dropped_fault`](Self::packet_dropped_fault).
-    fn packets_dropped_fault(&mut self, count: u64) {
-        for _ in 0..count {
-            self.packet_dropped_fault();
-        }
-    }
 }
 
 /// The zero-cost recorder: every method is an empty inline body, so an
@@ -81,25 +49,9 @@ impl Recorder for NullRecorder {
     #[inline(always)]
     fn charge(&mut self, _node: usize, _category: EnergyCategory, _joules: f64) {}
     #[inline(always)]
-    fn packet_offered(&mut self) {}
-    #[inline(always)]
-    fn packet_delivered(&mut self) {}
-    #[inline(always)]
-    fn packet_dropped_dead_hop(&mut self) {}
-    #[inline(always)]
-    fn packet_dropped_disconnected(&mut self) {}
-    #[inline(always)]
-    fn packet_dropped_fault(&mut self) {}
+    fn packets(&mut self, _tally: &PacketCounters) {}
     #[inline(always)]
     fn record_residual(&mut self, _node: usize, _joules: f64) {}
-    #[inline(always)]
-    fn packets_offered(&mut self, _count: u64) {}
-    #[inline(always)]
-    fn packets_delivered(&mut self, _count: u64) {}
-    #[inline(always)]
-    fn packets_dropped_disconnected(&mut self, _count: u64) {}
-    #[inline(always)]
-    fn packets_dropped_fault(&mut self, _count: u64) {}
 }
 
 /// The standard instrumented recorder: an energy ledger plus packet
@@ -137,44 +89,12 @@ impl Recorder for LedgerRecorder {
         self.ledger.charge(node, category, joules);
     }
     #[inline]
-    fn packet_offered(&mut self) {
-        self.packets.offered += 1;
-    }
-    #[inline]
-    fn packet_delivered(&mut self) {
-        self.packets.delivered += 1;
-    }
-    #[inline]
-    fn packet_dropped_dead_hop(&mut self) {
-        self.packets.dropped_dead_hop += 1;
-    }
-    #[inline]
-    fn packet_dropped_disconnected(&mut self) {
-        self.packets.dropped_disconnected += 1;
-    }
-    #[inline]
-    fn packet_dropped_fault(&mut self) {
-        self.packets.dropped_fault += 1;
+    fn packets(&mut self, tally: &PacketCounters) {
+        self.packets.merge(tally);
     }
     #[inline]
     fn record_residual(&mut self, node: usize, joules: f64) {
         self.ledger.set_residual(node, joules);
-    }
-    #[inline]
-    fn packets_offered(&mut self, count: u64) {
-        self.packets.offered += count;
-    }
-    #[inline]
-    fn packets_delivered(&mut self, count: u64) {
-        self.packets.delivered += count;
-    }
-    #[inline]
-    fn packets_dropped_disconnected(&mut self, count: u64) {
-        self.packets.dropped_disconnected += count;
-    }
-    #[inline]
-    fn packets_dropped_fault(&mut self, count: u64) {
-        self.packets.dropped_fault += count;
     }
 }
 
@@ -185,12 +105,13 @@ mod tests {
     fn drive<R: Recorder>(rec: &mut R) {
         rec.charge(0, EnergyCategory::Tx, 1.0);
         rec.charge(1, EnergyCategory::RxRelay, 0.5);
-        rec.packet_offered();
-        rec.packet_delivered();
-        rec.packet_offered();
-        rec.packet_dropped_dead_hop();
-        rec.packet_offered();
-        rec.packet_dropped_fault();
+        rec.packets(&PacketCounters {
+            offered: 3,
+            delivered: 1,
+            dropped_dead_hop: 1,
+            dropped_fault: 1,
+            ..PacketCounters::new()
+        });
         rec.record_residual(0, -0.125);
     }
 

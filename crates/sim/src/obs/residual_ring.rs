@@ -100,24 +100,8 @@ impl Recorder for RingRecorder {
         self.charges += 1;
     }
     #[inline]
-    fn packet_offered(&mut self) {
-        self.packets.offered += 1;
-    }
-    #[inline]
-    fn packet_delivered(&mut self) {
-        self.packets.delivered += 1;
-    }
-    #[inline]
-    fn packet_dropped_dead_hop(&mut self) {
-        self.packets.dropped_dead_hop += 1;
-    }
-    #[inline]
-    fn packet_dropped_disconnected(&mut self) {
-        self.packets.dropped_disconnected += 1;
-    }
-    #[inline]
-    fn packet_dropped_fault(&mut self) {
-        self.packets.dropped_fault += 1;
+    fn packets(&mut self, tally: &PacketCounters) {
+        self.packets.merge(tally);
     }
     fn record_residual(&mut self, node: usize, joules: f64) {
         let s = &mut self.stats;
@@ -136,22 +120,6 @@ impl Recorder for RingRecorder {
             self.ring[self.head] = sample;
             self.head = (self.head + 1) % self.capacity;
         }
-    }
-    #[inline]
-    fn packets_offered(&mut self, count: u64) {
-        self.packets.offered += count;
-    }
-    #[inline]
-    fn packets_delivered(&mut self, count: u64) {
-        self.packets.delivered += count;
-    }
-    #[inline]
-    fn packets_dropped_disconnected(&mut self, count: u64) {
-        self.packets.dropped_disconnected += count;
-    }
-    #[inline]
-    fn packets_dropped_fault(&mut self, count: u64) {
-        self.packets.dropped_fault += count;
     }
 }
 
@@ -190,14 +158,18 @@ mod tests {
         let mut rec = RingRecorder::with_capacity(1);
         rec.charge(0, EnergyCategory::Tx, 1.0);
         rec.charge(999_999, EnergyCategory::RxRelay, 0.5);
-        rec.packet_offered();
-        rec.packet_delivered();
-        rec.packets_offered(5);
-        rec.packets_dropped_fault(2);
+        let round = PacketCounters {
+            offered: 3,
+            delivered: 1,
+            dropped_fault: 2,
+            ..PacketCounters::new()
+        };
+        rec.packets(&round);
+        rec.packets(&round);
         assert_eq!(rec.charged, 1.5);
         assert_eq!(rec.charges, 2);
         assert_eq!(rec.packets.offered, 6);
-        assert_eq!(rec.packets.delivered, 1);
-        assert_eq!(rec.packets.dropped_fault, 2);
+        assert_eq!(rec.packets.delivered, 2);
+        assert_eq!(rec.packets.dropped_fault, 4);
     }
 }

@@ -1,5 +1,5 @@
-//! Manifest acceptance: the checked-in golden F3 manifest must match a
-//! fresh rebuild byte-for-byte, and the ledger behind it must reproduce
+//! Manifest acceptance: the checked-in golden F3, F6 and F13 manifests
+//! must match a fresh rebuild byte-for-byte, and the F3 ledger must reproduce
 //! the keynote's headline split — the radio's channel checks eating
 //! ~82 % of the CS1 node's budget — with every category accounted for.
 
@@ -7,7 +7,8 @@ use ambience::core::case_studies::cs1::{cs1_energy_ledger, Cs1Config};
 use ambience::sim::obs::EnergyCategory;
 use ambience::units::TimeSpan;
 use ami_experiments::manifests::{
-    f13_faulted_manifest, f13_manifest, f3_manifest, t3_manifest, F13_FAULT_SPEC,
+    f13_faulted_manifest, f13_manifest, f3_manifest, f6_faulted_manifest_threads,
+    f6_manifest_threads, t3_manifest, F13_FAULT_SPEC,
 };
 
 /// The golden manifest frozen in the repo; CI also diffs the binary's
@@ -19,6 +20,16 @@ const GOLDEN_F3: &str = include_str!("../crates/experiments/golden/f3_manifest.j
 /// with `AMBIENCE_FAULTS` set to that spec and diffing.
 const GOLDEN_F13_FAULTED: &str =
     include_str!("../crates/experiments/golden/f13_faulted_manifest.json");
+
+/// The frozen F6 gathering run: 32 replicated random fields, with the
+/// merged energy ledger and the packet-fate counter tree. CI also diffs
+/// the F6 binary's `AMBIENCE_MANIFEST` output at 1 and 8 threads against it.
+const GOLDEN_F6: &str = include_str!("../crates/experiments/golden/f6_manifest.json");
+
+/// The frozen faulted F6 run: the same fields under the F6 fault mix, so
+/// the disconnected and fault drop causes are pinned as well.
+const GOLDEN_F6_FAULTED: &str =
+    include_str!("../crates/experiments/golden/f6_faulted_manifest.json");
 
 #[test]
 fn f3_manifest_matches_the_checked_in_golden() {
@@ -65,6 +76,30 @@ fn f13_faulted_manifest_matches_the_checked_in_golden() {
          AMBIENCE_FAULTS='{F13_FAULT_SPEC}' \
          AMBIENCE_MANIFEST=crates/experiments/golden/f13_faulted_manifest.json \
          cargo run -p ami-experiments --bin expt_f13_lossy_network"
+    );
+}
+
+#[test]
+fn f6_manifest_matches_the_checked_in_golden() {
+    assert_eq!(
+        f6_manifest_threads(1).to_json(),
+        GOLDEN_F6,
+        "f6_manifest_threads(1) drifted from crates/experiments/golden/f6_manifest.json; \
+         if the change is intentional, regenerate the golden with \
+         AMBIENCE_THREADS=1 AMBIENCE_MANIFEST=crates/experiments/golden/f6_manifest.json \
+         cargo run -p ami-experiments --bin expt_f6_network_scaling"
+    );
+}
+
+#[test]
+fn f6_faulted_manifest_matches_the_checked_in_golden() {
+    assert_eq!(
+        f6_faulted_manifest_threads(1).to_json(),
+        GOLDEN_F6_FAULTED,
+        "f6_faulted_manifest_threads(1) drifted from \
+         crates/experiments/golden/f6_faulted_manifest.json; if the change is \
+         intentional, regenerate the golden by writing \
+         f6_faulted_manifest_threads(1).to_json() to that file"
     );
 }
 

@@ -148,6 +148,10 @@ impl CsrAdjacency {
             }
             offsets.push(targets.len() as u32);
         }
+        // The rows grew by push-doubling; give back the slack (up to half
+        // of each array) that a cached adjacency would otherwise hold.
+        targets.shrink_to_fit();
+        distances_m.shrink_to_fit();
         Self {
             range_bits: range.as_meters().to_bits(),
             offsets,

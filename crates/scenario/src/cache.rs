@@ -10,9 +10,11 @@
 //! (single-flight). Ready entries are evicted least-recently-used once
 //! the cache exceeds its capacity; in-flight slots are never evicted.
 //!
-//! Validation happens *before* a slot is claimed, so compilation inside
-//! the cache cannot fail for spec reasons — a claimed slot always
-//! resolves, and waiters never deadlock on an abandoned entry.
+//! Validation happens *before* a slot is claimed, so a spec the cache
+//! rejects never claims one. A claimed slot is held by a guard: if the
+//! compile returns an error or panics, the guard removes the in-flight
+//! slot and wakes the waiters, and the first of them claims the compile
+//! afresh — no waiter blocks forever on an abandoned entry.
 //!
 //! # Example
 //!
@@ -38,7 +40,7 @@ use crate::compile::CompiledScenario;
 use crate::spec::{ScenarioError, ScenarioSpec};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// Counters describing cache behavior since construction. Monotonic;
 /// read them via [`ScenarioCache::stats`].
@@ -71,6 +73,31 @@ struct CacheState {
     slots: HashMap<u64, Slot>,
     /// Logical clock for LRU stamps.
     tick: u64,
+}
+
+/// The in-flight slot one thread has claimed. Dropping it wakes the
+/// waiters; if the slot is still in flight — the compile returned an
+/// error or panicked — it is removed first, so a waiter claims it anew.
+struct Claim<'a> {
+    cache: &'a ScenarioCache,
+    hash: u64,
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        // This may run while a compile panic unwinds; a second panic
+        // here would abort, so a poisoned lock is taken as is.
+        let mut state = self
+            .cache
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if matches!(state.slots.get(&self.hash), Some(Slot::InFlight)) {
+            state.slots.remove(&self.hash);
+        }
+        drop(state);
+        self.cache.ready.notify_all();
+    }
 }
 
 /// A bounded, thread-safe compile cache. See the [module docs](self).
@@ -129,15 +156,26 @@ impl ScenarioCache {
     /// # Errors
     ///
     /// [`ScenarioError::Spec`] when validation rejects the spec (before
-    /// any slot is claimed).
+    /// any slot is claimed), or the compile's own error.
     ///
     /// # Panics
     ///
-    /// Panics if the cache mutex was poisoned by a panicking compile on
-    /// another thread.
+    /// A panic inside the compile propagates to this caller after the
+    /// claimed slot is released; also panics if the cache mutex was
+    /// poisoned.
     pub fn get_or_compile(
         &self,
         spec: &ScenarioSpec,
+    ) -> Result<(Arc<CompiledScenario>, bool), ScenarioError> {
+        self.get_or_compile_with(spec, CompiledScenario::compile)
+    }
+
+    /// [`get_or_compile`](Self::get_or_compile) with the compile step
+    /// passed in, so tests can make it fail.
+    fn get_or_compile_with(
+        &self,
+        spec: &ScenarioSpec,
+        compile: impl FnOnce(&ScenarioSpec) -> Result<Arc<CompiledScenario>, ScenarioError>,
     ) -> Result<(Arc<CompiledScenario>, bool), ScenarioError> {
         spec.validate()?;
         let hash = spec.hash().0;
@@ -180,9 +218,10 @@ impl ScenarioCache {
                 }
             }
         }
-        // Compile outside the lock; the spec is already validated, so
-        // this cannot fail and the in-flight slot always resolves.
-        let artifact = CompiledScenario::compile(spec)?;
+        // Compile outside the lock. The claim wakes the waiters when it
+        // drops, and releases the slot if the compile failed or panicked.
+        let claim = Claim { cache: self, hash };
+        let artifact = compile(spec)?;
         self.compiles.fetch_add(1, Ordering::Relaxed);
         let mut state = self.state.lock().expect("scenario cache poisoned");
         state.tick += 1;
@@ -196,7 +235,7 @@ impl ScenarioCache {
         );
         self.evict_over_capacity(&mut state, hash);
         drop(state);
-        self.ready.notify_all();
+        drop(claim);
         Ok((artifact, false))
     }
 
@@ -335,5 +374,74 @@ mod tests {
         // Every other thread is served the ready artifact, whether it
         // arrived before (coalesced wait) or after the compile landed.
         assert_eq!(stats.hits, 7);
+    }
+
+    /// Asks `cache` for `spec` on a detached thread and returns whether
+    /// it was a hit, failing after 5 s: a request parked forever on an
+    /// abandoned slot fails the test instead of hanging the suite.
+    fn get_within_5s(cache: &Arc<ScenarioCache>, spec: &ScenarioSpec) -> bool {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let (cache, spec) = (Arc::clone(cache), spec.clone());
+        std::thread::spawn(move || {
+            done_tx
+                .send(cache.get_or_compile(&spec).map(|(_, hit)| hit))
+                .ok();
+        });
+        done_rx
+            .recv_timeout(std::time::Duration::from_secs(5))
+            .expect("the request never returned")
+            .unwrap()
+    }
+
+    #[test]
+    fn a_failed_compile_releases_its_slot() {
+        let cache = Arc::new(ScenarioCache::new(2));
+        let shared = spec("fails-once", 5);
+        let err = cache
+            .get_or_compile_with(&shared, |_| Err(ScenarioError::Spec("no compile".into())))
+            .unwrap_err();
+        assert!(err.to_string().contains("no compile"), "{err}");
+        assert!(!get_within_5s(&cache, &shared), "nothing was left behind");
+        assert_eq!(cache.stats().compiles, 1);
+    }
+
+    #[test]
+    fn a_panicking_compile_wakes_its_waiter() {
+        let cache = Arc::new(ScenarioCache::new(2));
+        let shared = spec("panics-once", 5);
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let leader = {
+            let (cache, shared) = (Arc::clone(&cache), shared.clone());
+            std::thread::spawn(move || {
+                cache.get_or_compile_with(&shared, |_| {
+                    release_rx.recv().ok();
+                    panic!("compile blew up");
+                })
+            })
+        };
+        while cache.stats().misses == 0 {
+            std::thread::yield_now();
+        }
+        // The second request parks on the leader's in-flight slot
+        // (counted as coalesced) before the leader's compile panics.
+        let waiter = {
+            let cache = Arc::clone(&cache);
+            let shared = shared.clone();
+            std::thread::spawn(move || get_within_5s(&cache, &shared))
+        };
+        while cache.stats().coalesced == 0 {
+            std::thread::yield_now();
+        }
+        release_tx.send(()).unwrap();
+        assert!(leader.join().is_err(), "the leader's compile panicked");
+        assert!(
+            !waiter.join().unwrap(),
+            "the waiter compiled the spec itself"
+        );
+        assert_eq!(cache.stats().compiles, 1);
+        assert!(
+            get_within_5s(&cache, &shared),
+            "the cache still serves hits"
+        );
     }
 }

@@ -11,7 +11,10 @@
 //! * trailing input after the document is an error;
 //! * only finite numbers are accepted (JSON has no `NaN`/`Infinity`
 //!   literals, and the spec layer wants every knob comparable);
-//! * no extensions — no comments, no trailing commas, no single quotes.
+//! * no extensions — no comments, no trailing commas, no single quotes;
+//! * arrays and objects nest at most [`MAX_DEPTH`] deep, so a hostile
+//!   document cannot overflow the parser's stack (the reader is
+//!   recursive, and the batch service feeds it untrusted frames).
 //!
 //! Objects preserve insertion order so error messages can point at the
 //! offending field in file order.
@@ -27,6 +30,9 @@
 //! ```
 
 use std::fmt;
+
+/// Deepest nesting of arrays and objects [`parse`] accepts.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON document node.
 #[derive(Debug, Clone, PartialEq)]
@@ -110,11 +116,13 @@ impl std::error::Error for JsonError {}
 /// # Errors
 ///
 /// Returns a positioned [`JsonError`] on malformed input, duplicate
-/// object keys, non-finite numbers, or trailing content.
+/// object keys, non-finite numbers, nesting deeper than [`MAX_DEPTH`],
+/// or trailing content.
 pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
     let mut parser = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_whitespace();
     let value = parser.value()?;
@@ -128,6 +136,8 @@ pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -182,8 +192,19 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.error(format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
             Some(b't') => self.keyword("true", JsonValue::Bool(true)),
             Some(b'f') => self.keyword("false", JsonValue::Bool(false)),
@@ -442,6 +463,21 @@ mod tests {
         assert!(parse("// c\n1").is_err(), "comments");
         assert!(parse("01").is_err(), "leading zero");
         assert!(parse("1e999").is_err(), "overflow to infinity");
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
+        assert_eq!(
+            err.column,
+            MAX_DEPTH + 1,
+            "points at the first bracket too deep"
+        );
+        // Far past the limit: an error, not a stack overflow.
+        assert!(parse(&"[{\"a\":".repeat(1 << 20)).is_err());
     }
 
     #[test]

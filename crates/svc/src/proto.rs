@@ -18,6 +18,21 @@
 //!  "compile_micros": 1234, "queue_depth": 1, "manifest": { … }}
 //! ```
 //!
+//! # One write per frame
+//!
+//! [`write_frame`] hands the header and the payload to the writer in a
+//! single `write_all`, and the server sets `TCP_NODELAY` on every
+//! accepted stream. A frame split into two writes on a socket stalls:
+//! Nagle's algorithm holds the second segment until the first is
+//! acknowledged, and the peer delays that ACK (about 40 ms on Linux),
+//! so every request/reply round trip paid two such waits. With
+//! `TCP_NODELAY` a reply larger than one segment never waits on a
+//! delayed ACK either, however a writer splits its bytes.
+//!
+//! [`read_frame`] allocates for the bytes that actually arrive, not for
+//! the length a header claims: a header announcing [`MAX_FRAME`] followed
+//! by a few bytes and EOF costs a few bytes, not 16 MiB.
+//!
 //! # Example
 //!
 //! ```
@@ -41,7 +56,16 @@ use std::io::{self, Read, Write};
 /// Largest accepted frame payload (16 MiB).
 pub const MAX_FRAME: usize = 16 << 20;
 
-/// Writes one length-prefixed frame.
+/// Most bytes [`read_frame`] reserves before any payload byte arrives
+/// (64 KiB).
+const READ_CHUNK: usize = 64 << 10;
+
+/// Writes one length-prefixed frame in a single `write_all`, then
+/// flushes.
+///
+/// Header and payload go out as one buffer, so on a socket the frame
+/// is never split into a small header segment that Nagle's algorithm
+/// would make the payload wait behind until the peer's delayed ACK.
 ///
 /// # Errors
 ///
@@ -54,13 +78,19 @@ pub fn write_frame(writer: &mut impl Write, payload: &[u8]) -> io::Result<()> {
             format!("frame of {} bytes exceeds MAX_FRAME", payload.len()),
         ));
     }
-    writer.write_all(&(payload.len() as u32).to_be_bytes())?;
-    writer.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    frame.extend_from_slice(payload);
+    writer.write_all(&frame)?;
     writer.flush()
 }
 
 /// Reads one length-prefixed frame; `Ok(None)` on clean end-of-stream
 /// (EOF exactly at a frame boundary).
+///
+/// The payload buffer starts at no more than 64 KiB and grows only as
+/// bytes arrive, so a header's claimed length alone never allocates; a
+/// frame of up to 64 KiB is one allocation.
 ///
 /// # Errors
 ///
@@ -90,8 +120,14 @@ pub fn read_frame(reader: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
             format!("frame of {len} bytes exceeds MAX_FRAME"),
         ));
     }
-    let mut payload = vec![0u8; len];
-    reader.read_exact(&mut payload)?;
+    let mut payload = Vec::with_capacity(len.min(READ_CHUNK));
+    reader.take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("EOF after {} of {len} frame bytes", payload.len()),
+        ));
+    }
     Ok(Some(payload))
 }
 
@@ -269,7 +305,49 @@ mod tests {
         write_frame(&mut wire, b"abcdef").unwrap();
         wire.truncate(wire.len() - 2);
         let mut reader = std::io::Cursor::new(wire);
-        assert!(read_frame(&mut reader).is_err());
+        let err = read_frame(&mut reader).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn frames_larger_than_one_read_chunk_roundtrip() {
+        let payload: Vec<u8> = (0..3 * READ_CHUNK + 5).map(|k| k as u8).collect();
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &payload).unwrap();
+        let mut reader = std::io::Cursor::new(wire);
+        assert_eq!(read_frame(&mut reader).unwrap().unwrap(), payload);
+    }
+
+    /// A writer that records how many `write` calls reach it.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_is_one_write() {
+        let mut writer = CountingWriter::default();
+        for (k, payload) in [&b""[..], b"x", br#"{"id":"r1"}"#].iter().enumerate() {
+            write_frame(&mut writer, payload).unwrap();
+            assert_eq!(writer.writes, k + 1, "frame {k} took more than one write");
+        }
+        let mut reader = std::io::Cursor::new(writer.bytes);
+        assert_eq!(read_frame(&mut reader).unwrap().unwrap(), b"");
+        assert_eq!(read_frame(&mut reader).unwrap().unwrap(), b"x");
+        assert_eq!(read_frame(&mut reader).unwrap().unwrap(), br#"{"id":"r1"}"#);
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! Connections are long-lived: a client may send any number of request
 //! frames and reads one response frame per request frame, in order.
 //! A malformed frame gets a frame-level error response and the
-//! connection stays open; the connection ends at clean EOF.
+//! connection stays open; the connection ends at clean EOF. Every
+//! accepted stream has `TCP_NODELAY` set, so a reply never waits on the
+//! client's delayed ACK (see [`proto`](crate::proto)).
 //!
 //! # Example
 //!
@@ -86,6 +88,7 @@ impl Server {
 
 /// Serves one connection until clean EOF or an I/O error.
 fn handle_connection(mut stream: TcpStream, service: &Service) -> io::Result<()> {
+    stream.set_nodelay(true)?;
     while let Some(payload) = read_frame(&mut stream)? {
         let reply = match std::str::from_utf8(&payload) {
             Err(_) => encode_frame_error("request frame is not UTF-8"),

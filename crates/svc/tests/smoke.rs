@@ -1,6 +1,7 @@
 //! The service smoke test CI runs: three requests over the real
 //! socket protocol, two of them identical — assert exactly one compile
-//! for the duplicated spec and byte-equal manifests.
+//! for the duplicated spec and byte-equal manifests — plus a latency
+//! check that a frame round trip never waits on a delayed ACK.
 
 use ami_scenario::json::{parse, JsonValue};
 use ami_svc::proto::{read_frame, write_frame};
@@ -8,6 +9,7 @@ use ami_svc::server::Server;
 use ami_svc::Service;
 use std::net::TcpStream;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 const GRID_SPEC: &str = r#"{
     "name": "smoke-grid",
@@ -161,4 +163,30 @@ fn malformed_frames_get_an_error_and_keep_the_connection() {
         &format!(r#"{{"id": "ok-after-error", "threads": 1, "scenario": {GRID_SPEC}}}"#),
     );
     assert!(reply.get("scenario_hash").is_some(), "connection survived");
+}
+
+#[test]
+fn round_trips_do_not_wait_on_delayed_acks() {
+    let server = Server::bind("127.0.0.1:0", Arc::new(Service::new(4))).unwrap();
+    let addr = server.local_addr().unwrap();
+    std::thread::spawn(move || server.serve());
+    let mut conn = TcpStream::connect(addr).unwrap();
+
+    // Malformed frames take the error path: no compile, no run, so each
+    // round trip is wire time plus a failed parse. A frame split across
+    // two writes would wait on the peer's delayed ACK (tens of ms).
+    let mut times: Vec<Duration> = (0..20)
+        .map(|_| {
+            let start = Instant::now();
+            let reply = roundtrip(&mut conn, "{not json");
+            assert!(reply.get("error").is_some());
+            start.elapsed()
+        })
+        .collect();
+    times.sort();
+    let median = times[times.len() / 2];
+    assert!(
+        median < Duration::from_millis(20),
+        "median malformed-frame round trip {median:?} (all: {times:?})"
+    );
 }

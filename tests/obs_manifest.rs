@@ -11,19 +11,21 @@ use ami_experiments::manifests::{
     f6_manifest_threads, t3_manifest, F13_FAULT_SPEC,
 };
 
-/// The golden manifest frozen in the repo; CI also diffs the binary's
+/// The golden manifest frozen in the repo; the golden table in
+/// `crates/experiments/tests/scenario_golden.rs` also diffs the binary's
 /// `AMBIENCE_MANIFEST` output against this same file.
 const GOLDEN_F3: &str = include_str!("../crates/experiments/golden/f3_manifest.json");
 
 /// The frozen faulted-F13 run: the same grid and seed as F13 under the
-/// [`F13_FAULT_SPEC`] mix. CI regenerates it by running the F13 binary
-/// with `AMBIENCE_FAULTS` set to that spec and diffing.
+/// [`F13_FAULT_SPEC`] mix. The golden table also runs the F13 binary
+/// with `AMBIENCE_FAULTS` set to that spec and diffs its manifest.
 const GOLDEN_F13_FAULTED: &str =
     include_str!("../crates/experiments/golden/f13_faulted_manifest.json");
 
 /// The frozen F6 gathering run: 32 replicated random fields, with the
-/// merged energy ledger and the packet-fate counter tree. CI also diffs
-/// the F6 binary's `AMBIENCE_MANIFEST` output at 1 and 8 threads against it.
+/// merged energy ledger and the packet-fate counter tree. The golden
+/// table also diffs the F6 binary's `AMBIENCE_MANIFEST` output at 1, 2
+/// and 8 threads against it.
 const GOLDEN_F6: &str = include_str!("../crates/experiments/golden/f6_manifest.json");
 
 /// The frozen faulted F6 run: the same fields under the F6 fault mix, so

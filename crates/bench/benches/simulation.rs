@@ -3,7 +3,7 @@
 use ami_bench::BENCH_SEED;
 use ami_dvs::{simulate_taskset, DvsPolicy, TaskSet};
 use ami_energy::{simulate_buffered_harvesting, EnvironmentProfile, Harvester, Pmu, Storage};
-use ami_net::{simulate_gathering, NetworkConfig, RoutingStrategy, Topology};
+use ami_net::{GatherSession, NetworkConfig, RoutingStrategy, Topology};
 use ami_tech::TechnologyNode;
 use ami_units::{Area, Energy, Length, Power, TimeSpan};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -19,12 +19,8 @@ fn bench_network_gathering(c: &mut Criterion) {
             &topo,
             |b, topo| {
                 b.iter(|| {
-                    simulate_gathering(
-                        black_box(topo),
-                        RoutingStrategy::MinimumEnergy,
-                        &config,
-                        100,
-                    )
+                    GatherSession::new(black_box(topo), RoutingStrategy::MinimumEnergy, &config)
+                        .run(100)
                 })
             },
         );
@@ -39,12 +35,7 @@ fn bench_network_with_deaths(c: &mut Criterion) {
     config.node_energy = Energy::from_millijoules(200.0);
     c.bench_function("network_gathering/with_deaths_60n_2000r", |b| {
         b.iter(|| {
-            simulate_gathering(
-                black_box(&topo),
-                RoutingStrategy::MinimumEnergy,
-                &config,
-                2000,
-            )
+            GatherSession::new(black_box(&topo), RoutingStrategy::MinimumEnergy, &config).run(2000)
         })
     });
 }
@@ -134,7 +125,8 @@ fn bench_parallel_replication(c: &mut Criterion) {
     let config = &config;
     let observable = |seed: u64| {
         let topo = Topology::random(30, Length::from_meters(100.0), seed);
-        simulate_gathering(&topo, RoutingStrategy::MinimumEnergy, config, 50)
+        GatherSession::new(&topo, RoutingStrategy::MinimumEnergy, config)
+            .run(50)
             .total_energy
             .as_joules()
     };

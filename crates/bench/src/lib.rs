@@ -7,14 +7,13 @@
 //! * `analysis` — the analysis kernels (Pareto frontier, Dijkstra
 //!   routing, link-budget and DVS bisections);
 //! * `experiments` — end-to-end regeneration cost of the headline
-//!   experiments (F3/F4/F5 kernels), so reproduction time is tracked;
-//! * `net_hotpath` — the network-simulator hot paths (route build,
-//!   gather/lossy rounds, faulted replication) at N ∈ {25, 100, 400,
-//!   1600}, mirroring the `expt_bench_snapshot` / `BENCH_NET.json`
-//!   labels;
-//! * `sim_hotpath` — the simulation-kernel and sweep-layer hot paths
-//!   (CS1 day sim, interned meter transitions, event-queue churn, A6
-//!   Monte Carlo, F12 grid), mirroring the `BENCH_SIM.json` labels.
+//!   experiments (F3/F4/F5 kernels), so reproduction time is tracked.
+//!
+//! The network and simulation-kernel hot paths (route build,
+//! gather/lossy rounds, faulted replication, CS1 day sim, meter,
+//! event queue, A6 Monte Carlo, F12 grid) are timed by
+//! `expt_bench_snapshot` in `ami-experiments` into `BENCH_NET.json` and
+//! `BENCH_SIM.json`, not here.
 //!
 //! Run with `cargo bench --workspace`.
 //!

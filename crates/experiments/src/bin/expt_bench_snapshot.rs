@@ -32,14 +32,15 @@
 //! `threads`/`cpus` fields plus a `speedup` field (one-region mean /
 //! many-region mean — expect >1× on a multi-core box; when `cpus` is 1
 //! the row times region overhead on a single core, so `speedup` is
-//! advisory and CI treats it that way). The row force-engages regions
-//! past the small-n one-region fallback — the snapshot times the
-//! regions, not the dispatch heuristic. Gathering has no `_par` row: it
-//! runs one serial kernel at every thread count.
+//! advisory and CI treats it that way). The row runs on the serial
+//! row's warm [`LossySession`], so both time marginal rounds and the
+//! ratio compares like with like, and it force-engages regions past the
+//! small-n one-region fallback — the snapshot times the regions, not
+//! the dispatch heuristic. Gathering has no `_par` row: it runs one
+//! serial kernel at every thread count.
 //!
 //! `BENCH_SIM.json` (schema `ambience-bench-sim/v1`) — the `ami-sim`
-//! kernel and sweep layer (labels mirrored by the `sim_hotpath`
-//! criterion group in `ami-bench`):
+//! kernel and sweep layer:
 //!
 //! * `day_sim_cs1` — one full CS1 day simulation (op = simulated day);
 //! * `state_meter_transition` — interned-id meter transitions
@@ -65,8 +66,7 @@ use ami_core::case_studies::cs1_trace::trace_one_day;
 use ami_core::design_space::explore_cs1;
 use ami_experiments::banner;
 use ami_net::{
-    build_routes, replicate_gathering_faulted_observed_threads, simulate_gathering,
-    simulate_lossy_gathering, simulate_lossy_gathering_faulted_with, GatherSession, LossyConfig,
+    build_routes, replicate_gathering_faulted_observed_threads, GatherSession, LossyConfig,
     LossySession, NetworkConfig, RoutingStrategy, Topology,
 };
 use ami_sim::fault::{FaultSchedule, FaultSpec};
@@ -209,12 +209,14 @@ fn run_net_snapshot(quick: bool) -> Vec<Entry> {
             GATHER_ROUNDS,
             quick,
             || {
-                black_box(simulate_gathering(
-                    black_box(&topo),
-                    RoutingStrategy::MinimumEnergy,
-                    &net_config,
-                    GATHER_ROUNDS,
-                ));
+                black_box(
+                    GatherSession::new(
+                        black_box(&topo),
+                        RoutingStrategy::MinimumEnergy,
+                        &net_config,
+                    )
+                    .run(GATHER_ROUNDS),
+                );
             },
         ));
         entries.push(measure(
@@ -224,12 +226,9 @@ fn run_net_snapshot(quick: bool) -> Vec<Entry> {
             LOSSY_ROUNDS,
             quick,
             || {
-                black_box(simulate_lossy_gathering(
-                    black_box(&topo),
-                    &lossy_config,
-                    LOSSY_ROUNDS,
-                    SEED,
-                ));
+                black_box(
+                    LossySession::new(black_box(&topo), &lossy_config).run(LOSSY_ROUNDS, SEED),
+                );
             },
         ));
         let side = Length::from_meters(25.0 * (n as f64).sqrt());
@@ -258,7 +257,7 @@ fn run_net_snapshot(quick: bool) -> Vec<Entry> {
     // than one region: at n = 10 000 the nodes-per-worker floor would
     // route an 8-worker run back to one region, turning `speedup`
     // into a measurement of the dispatch heuristic. So they run
-    // exactly `threads` regions through the generic entry point.
+    // exactly `threads` regions through `LossySession::run_regions`.
     // Results are bit-identical either way, so engagement is purely a
     // timing concern.
     for &n in &LARGE_SIZES {
@@ -315,9 +314,7 @@ fn run_net_snapshot(quick: bool) -> Vec<Entry> {
             LOSSY_ROUNDS_LARGE,
             quick,
             || {
-                black_box(simulate_lossy_gathering_faulted_with(
-                    black_box(&topo),
-                    &lossy_config,
+                black_box(lossy_session.run_regions(
                     LOSSY_ROUNDS_LARGE,
                     SEED,
                     &FaultSchedule::empty(),

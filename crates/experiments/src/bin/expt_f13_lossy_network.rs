@@ -14,9 +14,7 @@
 
 use ami_experiments::manifests::{emit_when_requested, f13_faulted_manifest_with, f13_manifest};
 use ami_experiments::{banner, print_table, section};
-use ami_net::{
-    simulate_lossy_gathering, simulate_lossy_gathering_faulted, LossyConfig, LossyReport,
-};
+use ami_net::{simulate_lossy_gathering_faulted, LossyConfig, LossyReport, LossySession};
 use ami_radio::StopAndWaitArq;
 use ami_scenario::ScenarioSpec;
 use ami_sim::fault::{FaultModel, FaultSpec, FAULTS_ENV};
@@ -63,7 +61,7 @@ fn main() {
     let rows = ami_sim::runner::par_map_indexed(bers, |_, &ber| {
         let mut config = LossyConfig::bruised_channel();
         config.ber = ber;
-        let report = simulate_lossy_gathering(&topo, &config, rounds, seed);
+        let report = LossySession::new(&topo, &config).run(rounds, seed);
         vec![
             format!("{ber:.0e}"),
             format!("{:.1}%", 100.0 * report.delivery_ratio()),
@@ -86,7 +84,7 @@ fn main() {
         let mut config = LossyConfig::bruised_channel();
         config.ber = arq_ber;
         config.arq = StopAndWaitArq::new(budget as u32);
-        let report = simulate_lossy_gathering(&topo, &config, rounds, seed);
+        let report = LossySession::new(&topo, &config).run(rounds, seed);
         vec![
             budget.to_string(),
             format!("{:.1}%", 100.0 * report.delivery_ratio()),

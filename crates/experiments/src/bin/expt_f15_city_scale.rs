@@ -18,11 +18,11 @@
 use ami_experiments::{banner, print_table, section};
 use ami_net::routing::{route_build_count, route_repair_count, set_route_repair_enabled};
 use ami_net::{
-    simulate_gathering_faulted, CsrAdjacency, NetworkConfig, NetworkReport, Position,
-    RoutingStrategy, Topology,
+    CsrAdjacency, GatherSession, NetworkConfig, NetworkReport, Position, RoutingStrategy, Topology,
 };
 use ami_scenario::ScenarioSpec;
 use ami_sim::fault::{FaultSchedule, FaultSpec};
+use ami_sim::obs::NullRecorder;
 use ami_units::Length;
 
 const SCENARIO: &str = "crates/experiments/scenarios/f15_city_scale.scenario.json";
@@ -51,8 +51,8 @@ fn faulted_run(
     rounds: u64,
 ) -> (NetworkReport, u64, u64) {
     let (builds, repairs) = (route_build_count(), route_repair_count());
-    let report =
-        simulate_gathering_faulted(topo, RoutingStrategy::MinimumEnergy, config, rounds, faults);
+    let mut session = GatherSession::new(topo, RoutingStrategy::MinimumEnergy, config);
+    let report = session.run_faulted_with(rounds, faults, &mut NullRecorder);
     (
         report,
         route_build_count() - builds,

@@ -9,11 +9,11 @@
 use ami_experiments::manifests::{emit_when_requested, f6_manifest};
 use ami_experiments::{banner, print_table, section};
 use ami_net::{
-    replicate_gathering, replicate_gathering_faulted_observed, replicate_gathering_observed,
-    simulate_gathering, summarize_reports, NetworkConfig, RoutingStrategy, Topology,
+    replicate_gathering_faulted_observed_threads, summarize_reports, GatherSession, NetworkConfig,
+    RoutingStrategy, Topology,
 };
 use ami_scenario::TopologySpec;
-use ami_sim::fault::FaultSpec;
+use ami_sim::fault::{FaultSchedule, FaultSpec};
 use ami_sim::obs::EnergyCategory;
 use ami_units::{Energy, Length};
 
@@ -59,8 +59,8 @@ fn main() {
         .expect("integral grid_side axis");
     let rows = ami_sim::runner::par_map_indexed(&sides, |_, &side| {
         let topo = Topology::grid(side, spacing);
-        let direct = simulate_gathering(&topo, RoutingStrategy::DirectToSink, &config, rounds);
-        let multi = simulate_gathering(&topo, RoutingStrategy::MinimumEnergy, &config, rounds);
+        let direct = GatherSession::new(&topo, RoutingStrategy::DirectToSink, &config).run(rounds);
+        let multi = GatherSession::new(&topo, RoutingStrategy::MinimumEnergy, &config).run(rounds);
         vec![
             format!("{}x{}", side, side),
             format!("{:.0}", topo.radius().as_meters()),
@@ -94,8 +94,10 @@ fn main() {
         .expect("integral tiny_grid_side axis");
     let rows = ami_sim::runner::par_map_indexed(&tiny_sides, |_, &side| {
         let topo = Topology::grid(side, spacing);
-        let direct = simulate_gathering(&topo, RoutingStrategy::DirectToSink, &tiny, tiny_rounds);
-        let multi = simulate_gathering(&topo, RoutingStrategy::MinimumEnergy, &tiny, tiny_rounds);
+        let direct =
+            GatherSession::new(&topo, RoutingStrategy::DirectToSink, &tiny).run(tiny_rounds);
+        let multi =
+            GatherSession::new(&topo, RoutingStrategy::MinimumEnergy, &tiny).run(tiny_rounds);
         let show = |r: &ami_net::NetworkReport| {
             r.lifetime(tiny.report_interval)
                 .map_or("(survives)".to_owned(), |t| {
@@ -111,25 +113,21 @@ fn main() {
     // ~45 m single-hop crossover, so the saving is visible.
     let field = Length::from_meters(field_m);
     let n_nodes = nodes as usize;
-    let reports_of = |strategy| {
-        replicate_gathering(
+    let threads = ami_sim::runner::thread_count();
+    let healthy = |strategy| {
+        replicate_gathering_faulted_observed_threads(
+            threads,
             replications,
             base_seed,
             |seed| Topology::random(n_nodes, field, seed),
+            |_| FaultSchedule::empty(),
             strategy,
             &config,
             rounds,
         )
     };
-    let direct = reports_of(RoutingStrategy::DirectToSink);
-    let (multi, obs) = replicate_gathering_observed(
-        replications,
-        base_seed,
-        |seed| Topology::random(n_nodes, field, seed),
-        RoutingStrategy::MinimumEnergy,
-        &config,
-        rounds,
-    );
+    let (direct, _) = healthy(RoutingStrategy::DirectToSink);
+    let (multi, obs) = healthy(RoutingStrategy::MinimumEnergy);
     let direct_energy = summarize_reports(&direct, |r| r.total_energy.as_joules());
     let multi_energy = summarize_reports(&multi, |r| r.total_energy.as_joules());
     let savings: Vec<f64> = direct
@@ -192,7 +190,8 @@ fn main() {
     // schedule, so the comparison is paired: same fields, with and
     // without exogenous churn.
     let spec = FaultSpec::parse(&fault_mix).expect("frozen spec parses");
-    let (faulted, fobs) = replicate_gathering_faulted_observed(
+    let (faulted, fobs) = replicate_gathering_faulted_observed_threads(
+        threads,
         replications,
         base_seed,
         |seed| Topology::random(n_nodes, field, seed),

@@ -12,7 +12,7 @@
 use ami_arch::ArchitectureClass;
 use ami_core::case_studies::cs3::{best_format, Cs3Config};
 use ami_net::{
-    simulate_clustered, simulate_gathering, ClusterConfig, NetworkConfig, RoutingStrategy, Topology,
+    simulate_clustered, ClusterConfig, GatherSession, NetworkConfig, RoutingStrategy, Topology,
 };
 use ami_radio::RadioEnergyModel;
 use ami_sim::{par_map_indexed_threads, replicate_par_threads, sim_rng};
@@ -99,7 +99,8 @@ pub fn f11_clustering_rows_threads(threads: usize) -> Vec<Vec<String>> {
         let mut tree_config = NetworkConfig::sensor_default();
         tree_config.idle_power = Power::ZERO; // isolate radio energy
         tree_config.node_energy = budget;
-        let tree = simulate_gathering(&topo, RoutingStrategy::MinimumEnergy, &tree_config, rounds);
+        let tree =
+            GatherSession::new(&topo, RoutingStrategy::MinimumEnergy, &tree_config).run(rounds);
         let clustered = simulate_clustered(
             &topo,
             &radio,
@@ -111,12 +112,8 @@ pub fn f11_clustering_rows_threads(threads: usize) -> Vec<Vec<String>> {
 
         // Balance is measured early, while everyone is still alive.
         let early_rounds = 2000;
-        let tree_early = simulate_gathering(
-            &topo,
-            RoutingStrategy::MinimumEnergy,
-            &tree_config,
-            early_rounds,
-        );
+        let tree_early = GatherSession::new(&topo, RoutingStrategy::MinimumEnergy, &tree_config)
+            .run(early_rounds);
         let clustered_early = simulate_clustered(
             &topo,
             &radio,

@@ -180,7 +180,7 @@ pub fn simulate_clustered(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gather::{simulate_gathering, NetworkConfig};
+    use crate::gather::{GatherSession, NetworkConfig};
     use crate::routing::RoutingStrategy;
     use ami_units::{Length, Power};
 
@@ -229,7 +229,8 @@ mod tests {
         let mut tree_config = NetworkConfig::sensor_default();
         tree_config.idle_power = Power::ZERO;
         tree_config.node_energy = Energy::from_joules(2.0);
-        let tree = simulate_gathering(&topo(), RoutingStrategy::MinimumEnergy, &tree_config, 3000);
+        let tree =
+            GatherSession::new(&topo(), RoutingStrategy::MinimumEnergy, &tree_config).run(3000);
         let tree_res: Vec<f64> = tree.residual_energy.iter().map(|e| e.as_joules()).collect();
         let mean = tree_res.iter().sum::<f64>() / tree_res.len() as f64;
         let var = tree_res.iter().map(|r| (r - mean).powi(2)).sum::<f64>() / tree_res.len() as f64;

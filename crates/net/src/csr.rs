@@ -453,6 +453,39 @@ mod tests {
         assert_eq!(part, RegionPartition::contiguous(12, 4));
     }
 
+    /// Ranges with no usable grid cell take the scan, whose `d <= range`
+    /// test gives each a definite graph: nothing for NaN, coincident
+    /// pairs for 0, every pair for +∞. An empty adjacency would be
+    /// wrong for the last two.
+    #[test]
+    fn degenerate_ranges_fall_back_to_the_scan() {
+        let none = CsrAdjacency::build(&[], Length::from_meters(10.0));
+        assert_eq!((none.len(), none.edge_count()), (0, 0));
+
+        // `Length::new` rejects non-finite values, but arithmetic on a
+        // `Length` does not, so a derived range can be NaN or +∞.
+        let (nan_m, inf_m) = (
+            Length::ZERO * f64::NAN,
+            Length::from_meters(1.0) * f64::INFINITY,
+        );
+        // Node 3 sits on node 1.
+        let line = [0.0, 7.0, 14.0, 7.0].map(|x| Position::new(x, 0.0));
+        let nan = CsrAdjacency::build(&line, nan_m);
+        assert_eq!((nan.len(), nan.edge_count()), (4, 0));
+        let zero = CsrAdjacency::build(&line, Length::ZERO);
+        assert_eq!(zero.edge_count(), 2);
+        assert_eq!((zero.neighbors(1), zero.neighbors(3)), (&[3][..], &[1][..]));
+        let inf = CsrAdjacency::build(&line, inf_m);
+        assert_eq!(inf.edge_count(), 12);
+        for u in 0..4u32 {
+            let others: Vec<u32> = (0..4).filter(|&v| v != u).collect();
+            assert_eq!(inf.neighbors(u as usize), others.as_slice());
+        }
+        for (csr, range) in [(nan, nan_m), (zero, Length::ZERO), (inf, inf_m)] {
+            assert_eq!(csr, CsrAdjacency::build_scan(&line, range));
+        }
+    }
+
     #[test]
     fn range_key_is_bitwise() {
         let topo = Topology::grid(3, Length::from_meters(10.0));

@@ -15,14 +15,14 @@
 //! [`NetworkReport::overdraft`] totals the overshoot instead of hiding it.
 //!
 //! Every run is a [`GatherSession`] generic over an
-//! [`ami_sim::obs::Recorder`]; [`simulate_gathering`] records nothing
+//! [`ami_sim::obs::Recorder`]; [`GatherSession::run`] records nothing
 //! (zero cost), [`simulate_gathering_faulted_observed`] fills an energy
 //! ledger and packet counters. Whichever path runs a round — the
 //! aggregated kernel of [`crate::agg`] or the hop walk it falls back
 //! to — counts the round's packet fates and reports them once. A
 //! session keeps only its route cache between runs.
 //!
-//! The `*_faulted` entry points additionally take an
+//! [`GatherSession::run_faulted_with`] additionally takes an
 //! [`ami_sim::fault::FaultSchedule`] of exogenous failures. A fault-downed
 //! node is powered off: it spends nothing, offers nothing, and relays
 //! nothing. Routing detects downed nodes with a one-round lag (the sweep
@@ -30,8 +30,8 @@
 //! panics), so packets that hit a freshly downed relay or a downed link
 //! burn the sender's transmit energy and drop with the `dropped_fault`
 //! counter cause. Capacity-fade events scale a node's initial budget;
-//! the unfaulted entry points are the `FaultSchedule::empty()` special
-//! case, bit-exact with the pre-fault implementation.
+//! an unfaulted run is the `FaultSchedule::empty()` special case,
+//! bit-exact with the pre-fault implementation.
 
 use crate::agg::AggScratch;
 use crate::routing::{RoundFrame, RouteCache, RoutingStrategy, NO_ROUTE};
@@ -136,45 +136,11 @@ impl NetworkReport {
     }
 }
 
-/// Runs `rounds` reporting rounds of `topology` under `strategy`,
-/// recording nothing. See [`GatherSession::run_faulted_with`].
-///
-/// # Panics
-///
-/// Panics if `rounds` is zero.
-pub fn simulate_gathering(
-    topology: &Topology,
-    strategy: RoutingStrategy,
-    config: &NetworkConfig,
-    rounds: u64,
-) -> NetworkReport {
-    simulate_gathering_faulted(topology, strategy, config, rounds, &FaultSchedule::empty())
-}
-
-/// [`simulate_gathering`] under an exogenous [`FaultSchedule`],
-/// recording nothing. See [`GatherSession::run_faulted_with`].
-///
-/// # Panics
-///
-/// Panics if `rounds` is zero.
-pub fn simulate_gathering_faulted(
-    topology: &Topology,
-    strategy: RoutingStrategy,
-    config: &NetworkConfig,
-    rounds: u64,
-    faults: &FaultSchedule,
-) -> NetworkReport {
-    GatherSession::new(topology, strategy, config).run_faulted_with(
-        rounds,
-        faults,
-        &mut NullRecorder,
-    )
-}
-
-/// [`simulate_gathering_faulted`] with a [`LedgerRecorder`] attached:
-/// returns the report plus the per-node energy ledger (rows indexed by
-/// raw node id — the sink's row 0 stays zero) and end-to-end packet
-/// counters; fault-caused losses land in the `dropped_fault` counter.
+/// One gathering run under `faults` with a [`LedgerRecorder`]
+/// attached: a [`GatherSession`] used once. Returns the report plus the
+/// per-node energy ledger (rows indexed by raw node id — the sink's row
+/// 0 stays zero) and end-to-end packet counters; fault-caused losses
+/// land in the `dropped_fault` counter.
 ///
 /// # Panics
 ///
@@ -187,11 +153,8 @@ pub fn simulate_gathering_faulted_observed(
     faults: &FaultSchedule,
 ) -> (NetworkReport, LedgerRecorder) {
     let mut recorder = LedgerRecorder::with_nodes(topology.len());
-    let report = GatherSession::new(topology, strategy, config).run_faulted_with(
-        rounds,
-        faults,
-        &mut recorder,
-    );
+    let mut session = GatherSession::new(topology, strategy, config);
+    let report = session.run_faulted_with(rounds, faults, &mut recorder);
     (report, recorder)
 }
 
@@ -415,14 +378,14 @@ pub fn simulate_gathering_faulted_observed_par(
     simulate_gathering_faulted_observed(topology, strategy, config, rounds, faults)
 }
 
-/// A reusable gathering harness: routes are resolved once and kept warm
+/// The way to run gathering: routes are resolved once and kept warm
 /// across runs. The session keeps nothing else — each run builds its own
 /// aggregated-kernel scratch (per-node tallies and, on fault-free
 /// epochs, the memoized charge stream), so no memo outlives the fault
 /// schedule it was taken under.
 ///
-/// The one-shot entry points are a session used once, so they pay one
-/// route build per call; a kept session pays it once and then measures
+/// A one-shot run is a session used once, so it pays one route build
+/// per call; a kept session pays it once and then measures
 /// what city-scale studies actually repeat — marginal rounds. Results
 /// are bit-identical either way: the same round loop runs over the same
 /// cache, which a kept session just keeps alive (with its route epoch
@@ -450,7 +413,7 @@ impl<'a> GatherSession<'a> {
     }
 
     /// Runs `rounds` fault-free rounds from a fresh network state,
-    /// recording nothing. Bit-identical to [`simulate_gathering`].
+    /// recording nothing.
     ///
     /// # Panics
     ///
@@ -461,8 +424,8 @@ impl<'a> GatherSession<'a> {
 
     /// Runs `rounds` reporting rounds under the exogenous `faults`
     /// schedule from a fresh network state, charging every event
-    /// through `recorder`. Every one-shot gathering entry point is this
-    /// method on a session used once.
+    /// through `recorder`. Every gathering run, one-shot or replicated,
+    /// is this method.
     ///
     /// Routes are rebuilt over the surviving nodes whenever a node dies.
     /// A node participates (sends, relays) only while its budget is
@@ -552,12 +515,12 @@ mod tests {
 
     #[test]
     fn every_round_delivers_every_live_node() {
-        let report = simulate_gathering(
+        let report = GatherSession::new(
             &small_grid(),
             RoutingStrategy::MinimumEnergy,
             &NetworkConfig::sensor_default(),
-            50,
-        );
+        )
+        .run(50);
         assert_eq!(report.delivered_packets, 50 * 8);
         assert_eq!(report.alive_nodes, 8);
         assert!(report.first_death_round.is_none());
@@ -569,8 +532,8 @@ mod tests {
         // the 44.7 m crossover.
         let topo = Topology::grid(6, Length::from_meters(30.0));
         let config = NetworkConfig::sensor_default();
-        let direct = simulate_gathering(&topo, RoutingStrategy::DirectToSink, &config, 100);
-        let multi = simulate_gathering(&topo, RoutingStrategy::MinimumEnergy, &config, 100);
+        let direct = GatherSession::new(&topo, RoutingStrategy::DirectToSink, &config).run(100);
+        let multi = GatherSession::new(&topo, RoutingStrategy::MinimumEnergy, &config).run(100);
         assert_eq!(direct.delivered_packets, multi.delivered_packets);
         assert!(
             multi.total_energy < direct.total_energy,
@@ -585,8 +548,8 @@ mod tests {
         // All leaves 10 m from the sink: relaying could only add cost.
         let topo = Topology::star(6, Length::from_meters(10.0));
         let config = NetworkConfig::sensor_default();
-        let direct = simulate_gathering(&topo, RoutingStrategy::DirectToSink, &config, 100);
-        let multi = simulate_gathering(&topo, RoutingStrategy::MinimumEnergy, &config, 100);
+        let direct = GatherSession::new(&topo, RoutingStrategy::DirectToSink, &config).run(100);
+        let multi = GatherSession::new(&topo, RoutingStrategy::MinimumEnergy, &config).run(100);
         assert!(direct.total_energy <= multi.total_energy * 1.000001);
     }
 
@@ -595,7 +558,7 @@ mod tests {
         let mut config = NetworkConfig::sensor_default();
         config.node_energy = Energy::from_millijoules(40.0); // tiny budgets
         let topo = Topology::grid(4, Length::from_meters(30.0));
-        let report = simulate_gathering(&topo, RoutingStrategy::MinimumEnergy, &config, 2000);
+        let report = GatherSession::new(&topo, RoutingStrategy::MinimumEnergy, &config).run(2000);
         assert!(report.first_death_round.is_some());
         assert!(report.alive_nodes < 15);
     }
@@ -608,7 +571,7 @@ mod tests {
         config.idle_power = Power::ZERO; // isolate relaying cost
         config.node_energy = Energy::from_joules(1.0);
         let topo = Topology::grid(5, Length::from_meters(30.0));
-        let report = simulate_gathering(&topo, RoutingStrategy::MinimumEnergy, &config, 5000);
+        let report = GatherSession::new(&topo, RoutingStrategy::MinimumEnergy, &config).run(5000);
         // Node 1 (adjacent to corner sink) must end with less energy than
         // the far corner (node 24) which never relays.
         let near = report.residual_energy[0]; // id 1
@@ -618,12 +581,12 @@ mod tests {
 
     #[test]
     fn energy_per_delivered_bit_is_sane() {
-        let report = simulate_gathering(
+        let report = GatherSession::new(
             &small_grid(),
             RoutingStrategy::MinimumEnergy,
             &NetworkConfig::sensor_default(),
-            10,
-        );
+        )
+        .run(10);
         let epb = report.energy_per_delivered_bit().expect("grid delivers");
         // Idle listening dominates at 1-minute rounds: µJ–mJ per bit.
         assert!(epb.as_joules_per_bit() > 1e-9);
@@ -635,12 +598,12 @@ mod tests {
         // Sink at the origin, one sensor far out of radio range: energy
         // is spent idling but nothing is ever delivered.
         let topo = Topology::new(vec![Position::new(0.0, 0.0), Position::new(500.0, 0.0)]);
-        let report = simulate_gathering(
+        let report = GatherSession::new(
             &topo,
             RoutingStrategy::MinimumEnergy,
             &NetworkConfig::sensor_default(),
-            5,
-        );
+        )
+        .run(5);
         assert_eq!(report.delivered_packets, 0);
         assert!(report.total_energy.as_joules() > 0.0);
         assert_eq!(report.energy_per_delivered_bit(), None);
@@ -724,7 +687,7 @@ mod tests {
             RoutingStrategy::DirectToSink,
             RoutingStrategy::MinimumEnergy,
         ] {
-            let plain = simulate_gathering(&small_grid(), strategy, &config, 25);
+            let plain = GatherSession::new(&small_grid(), strategy, &config).run(25);
             let (observed, _) = simulate_gathering_faulted_observed(
                 &small_grid(),
                 strategy,
@@ -763,7 +726,7 @@ mod tests {
         let mut config = NetworkConfig::sensor_default();
         config.node_energy = Energy::from_millijoules(10.0);
         let report =
-            simulate_gathering(&small_grid(), RoutingStrategy::DirectToSink, &config, 1000);
+            GatherSession::new(&small_grid(), RoutingStrategy::DirectToSink, &config).run(1000);
         let round = report.first_death_round.expect("must die");
         let lifetime = report.lifetime(config.report_interval).unwrap();
         assert!((lifetime.as_minutes() - round as f64).abs() < 1e-9);
@@ -785,12 +748,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one round")]
     fn zero_rounds_rejected() {
-        let _ = simulate_gathering(
+        let _ = GatherSession::new(
             &small_grid(),
             RoutingStrategy::DirectToSink,
             &NetworkConfig::sensor_default(),
-            0,
-        );
+        )
+        .run(0);
     }
 
     mod faulted {
@@ -805,7 +768,7 @@ mod tests {
                 RoutingStrategy::DirectToSink,
                 RoutingStrategy::MinimumEnergy,
             ] {
-                let plain = simulate_gathering(&topo, strategy, &config, 40);
+                let plain = GatherSession::new(&topo, strategy, &config).run(40);
                 let (faulted, obs) = simulate_gathering_faulted_observed(
                     &topo,
                     strategy,
@@ -961,14 +924,9 @@ mod tests {
                 node: 1,
                 factor: 0.25,
             }]);
-            let plain = simulate_gathering(&topo, RoutingStrategy::DirectToSink, &config, 3);
-            let faded = simulate_gathering_faulted(
-                &topo,
-                RoutingStrategy::DirectToSink,
-                &config,
-                3,
-                &faults,
-            );
+            let plain = GatherSession::new(&topo, RoutingStrategy::DirectToSink, &config).run(3);
+            let faded = GatherSession::new(&topo, RoutingStrategy::DirectToSink, &config)
+                .run_faulted_with(3, &faults, &mut NullRecorder);
             // Same spend, but the faded node starts 75% lower.
             assert_eq!(plain.total_energy, faded.total_energy);
             let lost = 0.75 * config.node_energy.as_joules();

@@ -8,10 +8,10 @@
 //! (bounded), and all the retry energy is charged to the transmitting and
 //! receiving nodes. Deterministic in a seed.
 //!
-//! [`simulate_lossy_gathering_faulted`] layers an
-//! [`ami_sim::fault::FaultSchedule`] on top: fault-downed relays and
-//! downed links waste the sender's full ARQ budget and count the packet
-//! as `dropped_fault`. Fault handling consumes **no randomness**, so a
+//! Every run is a [`LossySession`]; [`LossySession::run_regions`]
+//! layers an [`ami_sim::fault::FaultSchedule`] on top: fault-downed
+//! relays and downed links waste the sender's full ARQ budget and count
+//! the packet as `dropped_fault`. Fault handling consumes **no randomness**, so a
 //! faulted run's channel draws stay aligned with the unfaulted run at
 //! the same seed on every packet a fault does not touch.
 //!
@@ -59,7 +59,7 @@
 //! too small — bit-identical results either way, observable only
 //! through [`par_serial_fallback_count`]/[`par_engaged_count`]. Callers
 //! that need exactly N regions whatever the size (benchmarks, tests)
-//! call [`simulate_lossy_gathering_faulted_with`] with `threads = N`.
+//! call [`LossySession::run_regions`] with `regions = N`.
 //!
 //! Faults and routes follow the same fault-lagged route epoch as
 //! gathering — one shared frame, seen here with every node alive
@@ -515,33 +515,8 @@ impl<'a> LossyState<'a> {
     }
 }
 
-/// Runs `rounds` of minimum-energy gathering over lossy links,
-/// deterministic in `seed`.
-///
-/// # Panics
-///
-/// Panics if `rounds` is zero or the BER is outside `[0, 0.5]`.
-pub fn simulate_lossy_gathering(
-    topology: &Topology,
-    config: &LossyConfig,
-    rounds: u64,
-    seed: u64,
-) -> LossyReport {
-    simulate_lossy_gathering_faulted(topology, config, rounds, seed, &FaultSchedule::empty())
-}
-
-/// [`simulate_lossy_gathering`] under an exogenous [`FaultSchedule`].
-///
-/// Fault semantics mirror the gather simulator's (one-round routing
-/// lag, `dropped_fault` attribution) with one ARQ-specific twist: a
-/// sender facing a fault-downed receiver or a downed link gets no ACK
-/// on any attempt, so it burns its **entire retransmission budget**
-/// before giving up. A downed receiver spends nothing (it is powered
-/// off); a downed link charges both powered ends per attempt. Fault
-/// handling consumes no random draws, and packets own their streams, so
-/// every packet a fault does not touch sees channel draws identical to
-/// the unfaulted run at the same seed. The empty schedule is bit-exact
-/// with [`simulate_lossy_gathering`].
+/// One lossy run under `faults` on one region, recording nothing: a
+/// [`LossySession`] used once. See [`LossySession::run_regions`].
 ///
 /// # Panics
 ///
@@ -553,44 +528,7 @@ pub fn simulate_lossy_gathering_faulted(
     seed: u64,
     faults: &FaultSchedule,
 ) -> LossyReport {
-    simulate_lossy_gathering_faulted_with(
-        topology,
-        config,
-        rounds,
-        seed,
-        faults,
-        1,
-        &mut NullRecorder,
-    )
-}
-
-/// [`simulate_lossy_gathering_faulted`] on `threads` regions with a
-/// [`Recorder`] attached — the one generic lossy entry point. The
-/// recorder sees per-node `Tx`/`RxRelay` charges (ARQ attempt counts
-/// times the per-attempt cost, committed once per round per node) and
-/// the packet counters (`offered`, `delivered`, `dropped_fault`;
-/// channel losses are the remainder). The un-instrumented entry points
-/// pass [`NullRecorder`], which monomorphizes the hooks away.
-///
-/// Runs exactly `threads` regions, each on its own worker (one runs
-/// inline on the caller); results are bit-identical at any count.
-/// [`simulate_lossy_gathering_faulted_par`] is the variant that skips
-/// regions a run is too small to pay for.
-///
-/// # Panics
-///
-/// Panics if `rounds` or `threads` is zero, or the BER is outside
-/// `[0, 0.5]`.
-pub fn simulate_lossy_gathering_faulted_with<R: Recorder>(
-    topology: &Topology,
-    config: &LossyConfig,
-    rounds: u64,
-    seed: u64,
-    faults: &FaultSchedule,
-    threads: usize,
-    recorder: &mut R,
-) -> LossyReport {
-    LossySession::new(topology, config).run_regions(rounds, seed, faults, threads, recorder)
+    LossySession::new(topology, config).run_faulted_with(rounds, seed, faults, &mut NullRecorder)
 }
 
 /// [`simulate_lossy_gathering_faulted`] on up to `threads` worker
@@ -622,9 +560,7 @@ pub fn simulate_lossy_gathering_faulted_par(
             PAR_FALLBACKS.with(|cell| cell.set(cell.get() + 1));
             1
         };
-    simulate_lossy_gathering_faulted_with(
-        topology,
-        config,
+    LossySession::new(topology, config).run_regions(
         rounds,
         seed,
         faults,
@@ -633,12 +569,11 @@ pub fn simulate_lossy_gathering_faulted_par(
     )
 }
 
-/// Reusable lossy-run session over one `(topology, config)` pair: the
-/// route cache persists across runs, so
-/// every run after the first skips the Dijkstra build (the dominant
-/// fixed cost at city scale) and measures marginal round work only.
-/// Each run is bit-identical to the matching one-shot entry point,
-/// which is itself a session used once.
+/// The way to run lossy gathering: one `(topology, config)` pair whose
+/// route cache persists across runs, so every run after the first
+/// skips the Dijkstra build (the dominant fixed cost at city scale) and
+/// measures marginal round work only. A one-shot run is a session used
+/// once; results are bit-identical either way.
 pub struct LossySession<'a> {
     topology: &'a Topology,
     config: &'a LossyConfig,
@@ -655,9 +590,8 @@ impl<'a> LossySession<'a> {
         }
     }
 
-    /// Runs `rounds` fault-free rounds from a fresh run state,
-    /// recording nothing. Bit-identical to
-    /// [`simulate_lossy_gathering`].
+    /// Runs `rounds` fault-free rounds on one region from a fresh run
+    /// state, recording nothing.
     ///
     /// # Panics
     ///
@@ -666,9 +600,7 @@ impl<'a> LossySession<'a> {
         self.run_faulted_with(rounds, seed, &FaultSchedule::empty(), &mut NullRecorder)
     }
 
-    /// Runs `rounds` rounds under `faults` from a fresh run state,
-    /// charging every event through `recorder`. Bit-identical to
-    /// [`simulate_lossy_gathering_faulted_with`].
+    /// [`run_regions`](Self::run_regions) on one region.
     ///
     /// # Panics
     ///
@@ -683,11 +615,37 @@ impl<'a> LossySession<'a> {
         self.run_regions(rounds, seed, faults, 1, recorder)
     }
 
-    /// One run on `regions` regions. The run state adopts the session's
-    /// warm cache — the frame's `ensure` no-ops when the usable set
-    /// still matches what the cache was built over — and hands it back
-    /// afterwards.
-    fn run_regions<R: Recorder>(
+    /// Runs `rounds` rounds under `faults` from a fresh run state on
+    /// exactly `regions` regions, each on its own worker (one runs
+    /// inline on the caller), deterministic in `seed` and bit-identical
+    /// at any region count.
+    ///
+    /// The recorder sees per-node `Tx`/`RxRelay` charges (ARQ attempt
+    /// counts times the per-attempt cost, committed once per round per
+    /// node) and the packet counters (`offered`, `delivered`,
+    /// `dropped_fault`; channel losses are the remainder);
+    /// [`NullRecorder`] monomorphizes the hooks away.
+    ///
+    /// Fault semantics mirror gathering's (one-round routing lag,
+    /// `dropped_fault` attribution) with one ARQ-specific twist: a
+    /// sender facing a fault-downed receiver or a downed link gets no
+    /// ACK on any attempt, so it burns its **entire retransmission
+    /// budget** before giving up. A downed receiver spends nothing (it
+    /// is powered off); a downed link charges both powered ends per
+    /// attempt. Fault handling consumes no random draws, and packets own
+    /// their streams, so every packet a fault does not touch sees
+    /// channel draws identical to the unfaulted run at the same seed;
+    /// the empty schedule is bit-exact with the unfaulted run.
+    ///
+    /// The run state adopts the session's warm cache — the frame's
+    /// `ensure` no-ops when the usable set still matches what the cache
+    /// was built over — and hands it back afterwards.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rounds` or `regions` is zero, or the BER is outside
+    /// `[0, 0.5]`.
+    pub fn run_regions<R: Recorder>(
         &mut self,
         rounds: u64,
         seed: u64,
@@ -721,15 +679,8 @@ mod tests {
         faults: &FaultSchedule,
     ) -> (LossyReport, LedgerRecorder) {
         let mut recorder = LedgerRecorder::with_nodes(topology.len());
-        let report = simulate_lossy_gathering_faulted_with(
-            topology,
-            config,
-            rounds,
-            seed,
-            faults,
-            1,
-            &mut recorder,
-        );
+        let report =
+            LossySession::new(topology, config).run_regions(rounds, seed, faults, 1, &mut recorder);
         (report, recorder)
     }
 
@@ -741,7 +692,7 @@ mod tests {
     fn perfect_channel_delivers_everything_without_retries() {
         let mut config = LossyConfig::bruised_channel();
         config.ber = 0.0;
-        let report = simulate_lossy_gathering(&topo(), &config, 50, 1);
+        let report = LossySession::new(&topo(), &config).run(50, 1);
         assert_eq!(report.delivered, report.offered);
         assert!((report.tx_per_packet() - expected_hops(&topo(), &config)).abs() < 0.2);
     }
@@ -749,7 +700,7 @@ mod tests {
     #[test]
     fn per_bit_cost_is_none_when_nothing_gets_through() {
         let mut config = LossyConfig::bruised_channel();
-        let report = simulate_lossy_gathering(&topo(), &config, 20, 7);
+        let report = LossySession::new(&topo(), &config).run(20, 7);
         let epb = report
             .energy_per_delivered_bit(&config.packet)
             .expect("bruised channel still delivers");
@@ -761,7 +712,7 @@ mod tests {
         // packet, so there is no per-bit cost to report.
         config.ber = 0.5;
         config.arq = StopAndWaitArq::new(1);
-        let starved = simulate_lossy_gathering(&topo(), &config, 5, 7);
+        let starved = LossySession::new(&topo(), &config).run(5, 7);
         assert_eq!(starved.delivered, 0);
         assert_eq!(starved.energy_per_delivered_bit(&config.packet), None);
     }
@@ -787,8 +738,8 @@ mod tests {
         clean.ber = 1e-4;
         let mut dirty = LossyConfig::bruised_channel();
         dirty.ber = 1e-2;
-        let a = simulate_lossy_gathering(&topo(), &clean, 100, 2);
-        let b = simulate_lossy_gathering(&topo(), &dirty, 100, 2);
+        let a = LossySession::new(&topo(), &clean).run(100, 2);
+        let b = LossySession::new(&topo(), &dirty).run(100, 2);
         assert!(a.delivery_ratio() > b.delivery_ratio());
         assert!(a.tx_per_packet() < b.tx_per_packet());
     }
@@ -800,8 +751,8 @@ mod tests {
         no_retry.arq = StopAndWaitArq::new(1);
         let mut retry = no_retry.clone();
         retry.arq = StopAndWaitArq::new(6);
-        let a = simulate_lossy_gathering(&topo(), &no_retry, 200, 3);
-        let b = simulate_lossy_gathering(&topo(), &retry, 200, 3);
+        let a = LossySession::new(&topo(), &no_retry).run(200, 3);
+        let b = LossySession::new(&topo(), &retry).run(200, 3);
         assert!(b.delivery_ratio() > a.delivery_ratio() + 0.05);
         assert!(b.total_energy > a.total_energy);
     }
@@ -809,8 +760,8 @@ mod tests {
     #[test]
     fn deterministic_in_seed() {
         let config = LossyConfig::bruised_channel();
-        let a = simulate_lossy_gathering(&topo(), &config, 100, 9);
-        let b = simulate_lossy_gathering(&topo(), &config, 100, 9);
+        let a = LossySession::new(&topo(), &config).run(100, 9);
+        let b = LossySession::new(&topo(), &config).run(100, 9);
         assert_eq!(a, b);
     }
 
@@ -823,7 +774,7 @@ mod tests {
         config.ber = 3e-3;
         let p_hop = config.packet.delivery_probability(config.ber);
         let predicted = config.arq.delivery_probability(p_hop);
-        let report = simulate_lossy_gathering(&star, &config, 2000, 4);
+        let report = LossySession::new(&star, &config).run(2000, 4);
         let measured = report.delivery_ratio();
         assert!(
             (measured - predicted).abs() < 0.02,
@@ -844,7 +795,7 @@ mod tests {
         config.ber = 2e-3;
         let (rounds, seed) = (300u64, 13u64);
         let p_hop = config.packet.delivery_probability(config.ber);
-        let report = simulate_lossy_gathering(&star, &config, rounds, seed);
+        let report = LossySession::new(&star, &config).run(rounds, seed);
 
         let mut predicted_delivered = 0u64;
         let mut predicted_tx = 0u64;
@@ -887,7 +838,7 @@ mod tests {
     fn absurd_ber_rejected() {
         let mut config = LossyConfig::bruised_channel();
         config.ber = 0.9;
-        let _ = simulate_lossy_gathering(&topo(), &config, 1, 0);
+        let _ = LossySession::new(&topo(), &config).run(1, 0);
     }
 
     mod faulted {
@@ -898,7 +849,7 @@ mod tests {
         #[test]
         fn empty_schedule_is_bit_exact_with_the_unfaulted_path() {
             let config = LossyConfig::bruised_channel();
-            let plain = simulate_lossy_gathering(&topo(), &config, 100, 11);
+            let plain = LossySession::new(&topo(), &config).run(100, 11);
             let faulted = simulate_lossy_gathering_faulted(
                 &topo(),
                 &config,
@@ -949,7 +900,7 @@ mod tests {
                 from,
                 until,
             }]);
-            let plain = simulate_lossy_gathering(&star, &config, rounds, seed);
+            let plain = LossySession::new(&star, &config).run(rounds, seed);
             let faulted = simulate_lossy_gathering_faulted(&star, &config, rounds, seed, &faults);
             let mut leaf1_lost = 0u64;
             for round in from..until {
@@ -1091,7 +1042,7 @@ mod tests {
             assert_eq!(par_engaged_count() - before.0, 0);
             assert_eq!(
                 lossy,
-                simulate_lossy_gathering(&topo(), &LossyConfig::bruised_channel(), 10, 3)
+                LossySession::new(&topo(), &LossyConfig::bruised_channel()).run(10, 3)
             );
         }
 
@@ -1120,7 +1071,7 @@ mod tests {
         fn serial_entry_points_and_sessions_count_nothing() {
             let before = (par_engaged_count(), par_serial_fallback_count());
             let config = LossyConfig::bruised_channel();
-            let _ = simulate_lossy_gathering(&topo(), &config, 5, 1);
+            let _ = LossySession::new(&topo(), &config).run(5, 1);
             let _ = LossySession::new(&topo(), &config).run(5, 1);
             assert_eq!((par_engaged_count(), par_serial_fallback_count()), before);
         }

@@ -3,12 +3,13 @@
 //!
 //! A single random field says little: the keynote's network-level claims
 //! (multi-hop savings, the energy hole, delivery under loss) need
-//! confidence intervals over topology draws. This module replicates
-//! [`simulate_gathering`] across `base_seed + k` topologies with the
-//! same seed-partitioning scheme as `ami_sim::replicate` — replication
-//! `k` always sees seed `base_seed + k`, and reports come back in seed
-//! order, so the parallel path is bit-exact with a serial loop at any
-//! worker count (enforced by `tests/determinism.rs`).
+//! confidence intervals over topology draws. This module replicates a
+//! [`GatherSession`](crate::GatherSession) run across `base_seed + k`
+//! topologies with the same seed-partitioning scheme as
+//! `ami_sim::replicate` — replication `k` always sees seed
+//! `base_seed + k`, and reports come back in seed order, so the
+//! parallel path is bit-exact with a serial loop at any worker count
+//! (enforced by `tests/determinism.rs`).
 //!
 //! Each replication inherits the gather core's hot-path machinery
 //! (CSR adjacency, epoch-cached routing, allocation-free rounds — see
@@ -19,9 +20,7 @@
 //! `faulted_replication` group of `expt_bench_snapshot` /
 //! `BENCH_NET.json` tracks this path end-to-end.
 
-use crate::gather::{
-    simulate_gathering, simulate_gathering_faulted_observed, NetworkConfig, NetworkReport,
-};
+use crate::gather::{simulate_gathering_faulted_observed, NetworkConfig, NetworkReport};
 use crate::routing::RoutingStrategy;
 use crate::topology::Topology;
 use ami_sim::fault::FaultSchedule;
@@ -29,89 +28,8 @@ use ami_sim::obs::LedgerRecorder;
 use ami_sim::summarize;
 use ami_sim::Summary;
 
-/// Replicates a gathering study across seeded random topologies with
-/// the default [`thread_count`](ami_sim::runner::thread_count),
-/// returning one report per seed, in seed order.
-///
-/// `topology` builds the field for a given seed — typically
-/// `|seed| Topology::random(n, field, seed)`, but any deterministic
-/// seed-to-field map works (e.g. jittered grids).
-///
-/// # Panics
-///
-/// Panics if `replications` or `rounds` is zero.
-pub fn replicate_gathering(
-    replications: usize,
-    base_seed: u64,
-    topology: impl Fn(u64) -> Topology + Sync,
-    strategy: RoutingStrategy,
-    config: &NetworkConfig,
-    rounds: u64,
-) -> Vec<NetworkReport> {
-    replicate_gathering_threads(
-        ami_sim::runner::thread_count(),
-        replications,
-        base_seed,
-        topology,
-        strategy,
-        config,
-        rounds,
-    )
-}
-
-/// [`replicate_gathering`] with an explicit worker count (1 = serial
-/// loop). Exposed so tests and benchmarks can pin the thread topology.
-///
-/// # Panics
-///
-/// Panics if `threads`, `replications` or `rounds` is zero.
-pub fn replicate_gathering_threads(
-    threads: usize,
-    replications: usize,
-    base_seed: u64,
-    topology: impl Fn(u64) -> Topology + Sync,
-    strategy: RoutingStrategy,
-    config: &NetworkConfig,
-    rounds: u64,
-) -> Vec<NetworkReport> {
-    assert!(replications > 0, "at least one replication");
-    let seeds: Vec<u64> = (0..replications)
-        .map(|k| base_seed.wrapping_add(k as u64))
-        .collect();
-    ami_sim::runner::par_map_indexed_threads(threads, &seeds, |_, &seed| {
-        simulate_gathering(&topology(seed), strategy, config, rounds)
-    })
-}
-
-/// [`replicate_gathering`] with observation: returns the per-seed
-/// reports plus one [`LedgerRecorder`] accumulated over all
-/// replications. Per-replication recorders are merged **in seed order**
-/// regardless of which worker finished first, so the combined ledger and
-/// counters are bit-identical at any thread count.
-///
-/// # Panics
-///
-/// Panics if `replications` or `rounds` is zero.
-pub fn replicate_gathering_observed(
-    replications: usize,
-    base_seed: u64,
-    topology: impl Fn(u64) -> Topology + Sync,
-    strategy: RoutingStrategy,
-    config: &NetworkConfig,
-    rounds: u64,
-) -> (Vec<NetworkReport>, LedgerRecorder) {
-    replicate_gathering_observed_threads(
-        ami_sim::runner::thread_count(),
-        replications,
-        base_seed,
-        topology,
-        strategy,
-        config,
-        rounds,
-    )
-}
-
-/// [`replicate_gathering_observed`] with an explicit worker count.
+/// [`replicate_gathering_faulted_observed_threads`] with every
+/// replication fault-free.
 ///
 /// # Panics
 ///
@@ -137,43 +55,22 @@ pub fn replicate_gathering_observed_threads(
     )
 }
 
-/// [`replicate_gathering_observed`] under per-replication fault
-/// schedules, with the default worker count.
-///
-/// `faults` maps each replication's seed to its [`FaultSchedule`] —
-/// typically `|seed| spec.schedule_for(seed, nodes, rounds)` so every
-/// topology draw gets a decorrelated but reproducible fault history.
-/// Like `topology`, it must be a pure function of the seed: the runner
-/// may call it from any worker.
-///
-/// # Panics
-///
-/// Panics if `replications` or `rounds` is zero.
-pub fn replicate_gathering_faulted_observed(
-    replications: usize,
-    base_seed: u64,
-    topology: impl Fn(u64) -> Topology + Sync,
-    faults: impl Fn(u64) -> FaultSchedule + Sync,
-    strategy: RoutingStrategy,
-    config: &NetworkConfig,
-    rounds: u64,
-) -> (Vec<NetworkReport>, LedgerRecorder) {
-    replicate_gathering_faulted_observed_threads(
-        ami_sim::runner::thread_count(),
-        replications,
-        base_seed,
-        topology,
-        faults,
-        strategy,
-        config,
-        rounds,
-    )
-}
-
-/// [`replicate_gathering_faulted_observed`] with an explicit worker
-/// count (1 = serial loop). Reports come back in seed order and the
-/// recorder merge is index-ordered, so results are bit-identical at any
+/// Replicates a gathering study across seeded random topologies on
+/// `threads` workers (1 = serial loop): replication `k` runs
+/// [`simulate_gathering_faulted_observed`] over
+/// `topology(base_seed + k)` under `faults(base_seed + k)`. Returns one report per seed, in seed order,
+/// plus one [`LedgerRecorder`] merged over all replications in seed
+/// order, so reports, ledger and counters are bit-identical at any
 /// thread count.
+///
+/// `topology` builds the field for a seed — typically
+/// `|seed| Topology::random(n, field, seed)`, but any deterministic
+/// seed-to-field map works (e.g. jittered grids). `faults` maps the
+/// seed to its [`FaultSchedule`] — typically
+/// `|seed| spec.schedule_for(seed, nodes, rounds)`, or
+/// `|_| FaultSchedule::empty()` for fault-free runs. Both must be pure
+/// functions of the seed: the runner may call them from any worker.
+/// Callers that want only the reports drop the ledger.
 ///
 /// # Panics
 ///
@@ -214,18 +111,21 @@ pub fn replicate_gathering_faulted_observed_threads(
 }
 
 /// Summarizes one scalar observable over replicated reports — the
-/// confidence-interval companion to [`replicate_gathering`].
+/// confidence-interval companion to
+/// [`replicate_gathering_faulted_observed_threads`].
 ///
 /// # Example
 ///
 /// ```
-/// use ami_net::{replicate_gathering, summarize_reports, NetworkConfig,
-///     RoutingStrategy, Topology};
+/// use ami_net::{replicate_gathering_faulted_observed_threads, summarize_reports,
+///     NetworkConfig, RoutingStrategy, Topology};
+/// use ami_sim::fault::FaultSchedule;
 /// use ami_units::Length;
 ///
-/// let reports = replicate_gathering(
-///     8, 42,
+/// let (reports, _ledger) = replicate_gathering_faulted_observed_threads(
+///     2, 8, 42,
 ///     |seed| Topology::random(12, Length::from_meters(80.0), seed),
+///     |_| FaultSchedule::empty(),
 ///     RoutingStrategy::MinimumEnergy,
 ///     &NetworkConfig::sensor_default(),
 ///     20,
@@ -249,6 +149,7 @@ pub fn summarize_reports(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gather::GatherSession;
     use ami_units::Length;
 
     fn field(seed: u64) -> Topology {
@@ -258,15 +159,24 @@ mod tests {
     #[test]
     fn reports_come_back_in_seed_order() {
         let config = NetworkConfig::sensor_default();
-        let replicated =
-            replicate_gathering(4, 7, field, RoutingStrategy::MinimumEnergy, &config, 10);
+        let replicated = replicate_gathering_faulted_observed_threads(
+            ami_sim::runner::thread_count(),
+            4,
+            7,
+            field,
+            |_| FaultSchedule::empty(),
+            RoutingStrategy::MinimumEnergy,
+            &config,
+            10,
+        )
+        .0;
         for (k, report) in replicated.iter().enumerate() {
-            let solo = simulate_gathering(
+            let solo = GatherSession::new(
                 &field(7 + k as u64),
                 RoutingStrategy::MinimumEnergy,
                 &config,
-                10,
-            );
+            )
+            .run(10);
             assert_eq!(*report, solo, "replication {k}");
         }
     }
@@ -274,25 +184,29 @@ mod tests {
     #[test]
     fn thread_count_does_not_change_reports() {
         let config = NetworkConfig::sensor_default();
-        let serial = replicate_gathering_threads(
+        let serial = replicate_gathering_faulted_observed_threads(
             1,
             6,
             99,
             field,
+            |_| FaultSchedule::empty(),
             RoutingStrategy::MinimumEnergy,
             &config,
             15,
-        );
+        )
+        .0;
         for threads in [2, 4, 8] {
-            let parallel = replicate_gathering_threads(
+            let parallel = replicate_gathering_faulted_observed_threads(
                 threads,
                 6,
                 99,
                 field,
+                |_| FaultSchedule::empty(),
                 RoutingStrategy::MinimumEnergy,
                 &config,
                 15,
-            );
+            )
+            .0;
             assert_eq!(serial, parallel, "threads = {threads}");
         }
     }
@@ -300,7 +214,17 @@ mod tests {
     #[test]
     fn summary_matches_hand_fold() {
         let config = NetworkConfig::sensor_default();
-        let reports = replicate_gathering(5, 1, field, RoutingStrategy::DirectToSink, &config, 5);
+        let reports = replicate_gathering_faulted_observed_threads(
+            ami_sim::runner::thread_count(),
+            5,
+            1,
+            field,
+            |_| FaultSchedule::empty(),
+            RoutingStrategy::DirectToSink,
+            &config,
+            5,
+        )
+        .0;
         let summary = summarize_reports(&reports, |r| r.delivered_packets as f64);
         let mean = reports
             .iter()
@@ -405,13 +329,16 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one replication")]
     fn zero_replications_rejected() {
-        let _ = replicate_gathering(
+        let _ = replicate_gathering_faulted_observed_threads(
+            ami_sim::runner::thread_count(),
             0,
             0,
             field,
+            |_| FaultSchedule::empty(),
             RoutingStrategy::DirectToSink,
             &NetworkConfig::sensor_default(),
             1,
-        );
+        )
+        .0;
     }
 }

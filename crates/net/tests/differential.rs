@@ -27,13 +27,13 @@ use ami_net::routing::{
     route_build_count, route_repair_count, set_route_repair_enabled, RouteCache,
 };
 use ami_net::{
-    build_routes, build_routes_over, simulate_gathering_faulted,
-    simulate_gathering_faulted_observed, simulate_lossy_gathering_faulted_with, CsrAdjacency,
-    LossyConfig, LossyReport, NetworkConfig, NetworkReport, NodeId, RoutingStrategy, Topology,
+    build_routes, build_routes_over, simulate_gathering_faulted_observed, CsrAdjacency,
+    GatherSession, LossyConfig, LossyReport, LossySession, NetworkConfig, NetworkReport, NodeId,
+    RoutingStrategy, Topology,
 };
 use ami_radio::RadioEnergyModel;
 use ami_sim::fault::{FaultEvent, FaultModel, FaultSchedule, FaultSpec};
-use ami_sim::obs::{LedgerRecorder, RunManifest};
+use ami_sim::obs::{LedgerRecorder, NullRecorder, RunManifest};
 use ami_units::{Energy, Length};
 use common::oracle::{dijkstra_reference_scan, lossy_reference_run, rebuild_over_usable};
 use common::schedule::{fault_schedule, minimize_failing_schedule};
@@ -309,9 +309,9 @@ fn lossy_observed_run(
 ) -> (LossyReport, LedgerRecorder, String) {
     let mut obs = LedgerRecorder::with_nodes(topo.len());
     let report = match regions {
-        Some(regions) => simulate_lossy_gathering_faulted_with(
-            topo, config, rounds, seed, schedule, regions, &mut obs,
-        ),
+        Some(regions) => {
+            LossySession::new(topo, config).run_regions(rounds, seed, schedule, regions, &mut obs)
+        }
         None => lossy_reference_run(topo, config, rounds, seed, schedule, &mut obs),
     };
     let manifest = RunManifest::new("differential-lossy")
@@ -458,8 +458,8 @@ fn faulted_replication_at_n1600_repairs_instead_of_rebuilding() {
         let seed = 2003 + rep;
         let topo = Topology::random(n, side, seed);
         let faults = spec.schedule_for(seed, n, 30);
-        let report =
-            simulate_gathering_faulted(&topo, RoutingStrategy::MinimumEnergy, &config, 30, &faults);
+        let report = GatherSession::new(&topo, RoutingStrategy::MinimumEnergy, &config)
+            .run_faulted_with(30, &faults, &mut NullRecorder);
         delivered += report.delivered_packets;
     }
     assert_eq!(

@@ -20,8 +20,8 @@
 mod common;
 
 use ami_net::{
-    agg_engaged_count, agg_fallback_count, simulate_gathering, simulate_gathering_faulted_observed,
-    GatherSession, NetworkConfig, NetworkReport, RoutingStrategy, Topology,
+    agg_engaged_count, agg_fallback_count, simulate_gathering_faulted_observed, GatherSession,
+    NetworkConfig, NetworkReport, RoutingStrategy, Topology,
 };
 use ami_sim::fault::{FaultEvent, FaultSchedule};
 use ami_sim::obs::{LedgerRecorder, NullRecorder, RunManifest};
@@ -138,7 +138,7 @@ fn death_rounds_fall_back_to_the_hop_walk_and_are_counted() {
     let mut config = NetworkConfig::sensor_default();
     config.node_energy = Energy::from_joules(0.008);
     let (engaged, fallbacks) = (agg_engaged_count(), agg_fallback_count());
-    let agg = simulate_gathering(&topo, RoutingStrategy::MinimumEnergy, &config, 30);
+    let agg = GatherSession::new(&topo, RoutingStrategy::MinimumEnergy, &config).run(30);
     let engaged = agg_engaged_count() - engaged;
     let fallbacks = agg_fallback_count() - fallbacks;
     assert!(
@@ -196,7 +196,7 @@ fn mid_round_death_at_the_packet_boundary_is_exact() {
     config.node_energy = Energy::from_joules(relay_round * 1.5);
     let oracle = reference_report(&topo, &config, 6);
     let fallbacks = agg_fallback_count();
-    let agg = simulate_gathering(&topo, RoutingStrategy::MinimumEnergy, &config, 6);
+    let agg = GatherSession::new(&topo, RoutingStrategy::MinimumEnergy, &config).run(6);
     assert_eq!(agg, oracle, "mid-round death must be bit-exact");
     assert!(
         agg_fallback_count() - fallbacks > 0,
@@ -214,11 +214,11 @@ fn mid_round_death_at_the_packet_boundary_is_exact() {
 #[test]
 fn sessions_reuse_routes_without_changing_results() {
     // The session API amortizes the route build across runs; every run
-    // must still be bit-identical to the one-shot entry point, and the
+    // must still be bit-identical to a fresh session used once, and the
     // kernel must stay engaged (no fallbacks on a healthy network).
     let topo = Topology::random(400, Length::from_meters(500.0), 11);
     let config = NetworkConfig::sensor_default();
-    let one_shot = simulate_gathering(&topo, RoutingStrategy::MinimumEnergy, &config, 8);
+    let one_shot = GatherSession::new(&topo, RoutingStrategy::MinimumEnergy, &config).run(8);
     let mut session = GatherSession::new(&topo, RoutingStrategy::MinimumEnergy, &config);
     let (engaged, fallbacks) = (agg_engaged_count(), agg_fallback_count());
     for trial in 0..3 {
@@ -266,7 +266,7 @@ fn session_faulted_runs_match_the_one_shot_entry_point() {
         from: 0,
         until: 3,
     }]);
-    let clean = simulate_gathering(&topo, RoutingStrategy::MinimumEnergy, &config, rounds);
+    let clean = GatherSession::new(&topo, RoutingStrategy::MinimumEnergy, &config).run(rounds);
 
     for (label, schedule) in [
         ("link-only", &link_only),

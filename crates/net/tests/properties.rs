@@ -2,7 +2,7 @@
 
 use ami_net::routing::route_to_sink;
 use ami_net::{
-    build_routes, simulate_gathering, simulate_gathering_faulted_observed, NetworkConfig,
+    build_routes, simulate_gathering_faulted_observed, GatherSession, NetworkConfig,
     RoutingStrategy, Topology,
 };
 use ami_radio::RadioEnergyModel;
@@ -170,8 +170,8 @@ proptest! {
         config.idle_power = ami_units::Power::ZERO;
         config.node_energy = Energy::from_joules(1000.0); // nobody dies
         config.max_hop = Length::from_meters(1e6); // every edge exists
-        let direct = simulate_gathering(&topo, RoutingStrategy::DirectToSink, &config, 10);
-        let multi = simulate_gathering(&topo, RoutingStrategy::MinimumEnergy, &config, 10);
+        let direct = GatherSession::new(&topo, RoutingStrategy::DirectToSink, &config).run(10);
+        let multi = GatherSession::new(&topo, RoutingStrategy::MinimumEnergy, &config).run(10);
         prop_assert_eq!(direct.delivered_packets, multi.delivered_packets);
         // The relayed path pays one un-modelled sink-rx per packet in the
         // metric but not in the simulation, so multi is conservatively
@@ -200,7 +200,7 @@ proptest! {
         config.ber = 10f64.powf(-exp);
         config.arq = ami_radio::StopAndWaitArq::new(budget);
         let rounds = 20;
-        let report = ami_net::simulate_lossy_gathering(&topo, &config, rounds, seed);
+        let report = ami_net::LossySession::new(&topo, &config).run(rounds, seed);
         prop_assert!(report.delivered <= report.offered);
         prop_assert!(report.offered <= rounds * (topo.len() as u64 - 1));
         // Per offered packet at most budget × longest-path transmissions.

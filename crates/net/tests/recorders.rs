@@ -8,8 +8,8 @@
 //! total must agree with the ledger's per-cell total to rounding.
 
 use ami_net::{
-    agg_engaged_count, agg_fallback_count, simulate_lossy_gathering_faulted_with, GatherSession,
-    LossyConfig, NetworkConfig, RoutingStrategy, Topology,
+    agg_engaged_count, agg_fallback_count, GatherSession, LossyConfig, LossySession, NetworkConfig,
+    RoutingStrategy, Topology,
 };
 use ami_sim::fault::{FaultModel, FaultSchedule};
 use ami_sim::obs::{LedgerRecorder, RingRecorder};
@@ -103,19 +103,11 @@ fn ring_recorder_matches_the_ledger_through_the_lossy_kernel() {
     let faults = fault_mix(3, topo.len(), rounds);
     for regions in [1, 3] {
         let mut ledger = LedgerRecorder::with_nodes(topo.len());
-        let report = simulate_lossy_gathering_faulted_with(
-            &topo,
-            &config,
-            rounds,
-            9,
-            &faults,
-            regions,
-            &mut ledger,
-        );
+        let report =
+            LossySession::new(&topo, &config).run_regions(rounds, 9, &faults, regions, &mut ledger);
         let mut ring = RingRecorder::with_capacity(16);
-        let ring_report = simulate_lossy_gathering_faulted_with(
-            &topo, &config, rounds, 9, &faults, regions, &mut ring,
-        );
+        let ring_report =
+            LossySession::new(&topo, &config).run_regions(rounds, 9, &faults, regions, &mut ring);
         assert_eq!(ring_report, report, "the recorder changed the run");
 
         assert_eq!(ring.packets, ledger.packets, "{regions} regions");

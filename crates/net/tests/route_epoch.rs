@@ -6,10 +6,11 @@ mod common;
 
 use ami_net::routing::{route_build_count, route_repair_count, RouteCache};
 use ami_net::{
-    build_routes_over, simulate_gathering, simulate_gathering_faulted, simulate_lossy_gathering,
-    LossyConfig, NetworkConfig, RoutingStrategy, Topology,
+    build_routes_over, GatherSession, LossyConfig, LossySession, NetworkConfig, RoutingStrategy,
+    Topology,
 };
 use ami_sim::fault::{FaultEvent, FaultModel, FaultSchedule};
+use ami_sim::obs::NullRecorder;
 use ami_units::Length;
 use common::schedule::fault_schedule;
 use proptest::prelude::*;
@@ -90,13 +91,8 @@ proptest! {
         let rounds = 40;
         let faults = model.schedule(seed, topo.len(), rounds);
         let config = NetworkConfig::sensor_default();
-        let report = simulate_gathering_faulted(
-            &topo,
-            RoutingStrategy::MinimumEnergy,
-            &config,
-            rounds,
-            &faults,
-        );
+        let mut session = GatherSession::new(&topo, RoutingStrategy::MinimumEnergy, &config);
+        let report = session.run_faulted_with(rounds, &faults, &mut NullRecorder);
         prop_assert!(report.delivered_packets <= rounds * (topo.len() as u64 - 1));
         prop_assert!(report.total_energy.as_joules() >= 0.0);
     }
@@ -107,7 +103,7 @@ fn healthy_gather_run_builds_routes_exactly_once() {
     let topo = Topology::random(60, Length::from_meters(160.0), 9);
     let config = NetworkConfig::sensor_default();
     let before = route_build_count();
-    let report = simulate_gathering(&topo, RoutingStrategy::MinimumEnergy, &config, 200);
+    let report = GatherSession::new(&topo, RoutingStrategy::MinimumEnergy, &config).run(200);
     assert_eq!(
         route_build_count() - before,
         1,
@@ -124,7 +120,7 @@ fn healthy_lossy_run_builds_routes_exactly_once() {
     let topo = Topology::random(40, Length::from_meters(130.0), 4);
     let config = LossyConfig::bruised_channel();
     let before = route_build_count();
-    let _ = simulate_lossy_gathering(&topo, &config, 120, 7);
+    let _ = LossySession::new(&topo, &config).run(120, 7);
     assert_eq!(route_build_count() - before, 1);
 }
 
@@ -142,7 +138,11 @@ fn outage_costs_exactly_two_repairs_and_no_extra_builds() {
         until: 6,
     }]);
     let (builds, repairs) = (route_build_count(), route_repair_count());
-    let _ = simulate_gathering_faulted(&topo, RoutingStrategy::MinimumEnergy, &config, 10, &faults);
+    let _ = GatherSession::new(&topo, RoutingStrategy::MinimumEnergy, &config).run_faulted_with(
+        10,
+        &faults,
+        &mut NullRecorder,
+    );
     assert_eq!(
         route_build_count() - builds,
         1,
@@ -174,8 +174,8 @@ fn reboot_landing_with_a_second_death_repairs_once() {
         FaultEvent::NodeDeath { node: 10, round: 4 },
     ]);
     let (builds, repairs) = (route_build_count(), route_repair_count());
-    let report =
-        simulate_gathering_faulted(&topo, RoutingStrategy::MinimumEnergy, &config, 10, &faults);
+    let report = GatherSession::new(&topo, RoutingStrategy::MinimumEnergy, &config)
+        .run_faulted_with(10, &faults, &mut NullRecorder);
     assert_eq!(route_build_count() - builds, 1, "round-0 build only");
     assert_eq!(
         route_repair_count() - repairs,

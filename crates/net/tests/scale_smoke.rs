@@ -7,10 +7,9 @@
 //! counter.)
 
 use ami_net::routing::{route_build_count, route_repair_count};
-use ami_net::{
-    simulate_gathering, simulate_gathering_faulted, NetworkConfig, RoutingStrategy, Topology,
-};
+use ami_net::{GatherSession, NetworkConfig, RoutingStrategy, Topology};
 use ami_sim::fault::{FaultEvent, FaultSchedule};
+use ami_sim::obs::NullRecorder;
 use ami_units::Length;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -82,7 +81,7 @@ fn scale_smoke_100k_nodes_route_repair_and_gather() {
 
     // Healthy pass: one full build, packets flow.
     let builds = route_build_count();
-    let report = simulate_gathering(&topo, RoutingStrategy::MinimumEnergy, &config, 3);
+    let report = GatherSession::new(&topo, RoutingStrategy::MinimumEnergy, &config).run(3);
     assert_eq!(route_build_count() - builds, 1, "healthy run: one build");
     assert!(report.delivered_packets > 0, "the city must deliver");
 
@@ -112,12 +111,12 @@ fn scale_smoke_100k_nodes_route_repair_and_gather() {
     ]);
     let (builds, repairs) = (route_build_count(), route_repair_count());
     let short = steady_allocations(2, || {
-        let _ =
-            simulate_gathering_faulted(&topo, RoutingStrategy::MinimumEnergy, &config, 6, &faults);
+        let _ = GatherSession::new(&topo, RoutingStrategy::MinimumEnergy, &config)
+            .run_faulted_with(6, &faults, &mut NullRecorder);
     });
     let long = steady_allocations(2, || {
-        let _ =
-            simulate_gathering_faulted(&topo, RoutingStrategy::MinimumEnergy, &config, 18, &faults);
+        let _ = GatherSession::new(&topo, RoutingStrategy::MinimumEnergy, &config)
+            .run_faulted_with(18, &faults, &mut NullRecorder);
     });
     assert_eq!(
         short, long,

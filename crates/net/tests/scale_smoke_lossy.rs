@@ -9,8 +9,8 @@
 //! counter.)
 
 use ami_net::{
-    simulate_lossy_gathering, simulate_lossy_gathering_faulted,
-    simulate_lossy_gathering_faulted_par, LossyConfig, Topology,
+    simulate_lossy_gathering_faulted, simulate_lossy_gathering_faulted_par, LossyConfig,
+    LossySession, Topology,
 };
 use ami_sim::fault::{FaultEvent, FaultSchedule};
 use ami_units::Length;
@@ -80,7 +80,7 @@ fn scale_smoke_lossy_100k_nodes_arq_serial_and_parallel() {
 
     // Healthy serial pass: the channel delivers imperfectly but the
     // city-scale run must not collapse.
-    let report = simulate_lossy_gathering(&topo, &config, 2, 2003);
+    let report = LossySession::new(&topo, &config).run(2, 2003);
     assert!(report.delivered > 0, "the city must deliver");
     assert!(
         report.delivered < report.offered,

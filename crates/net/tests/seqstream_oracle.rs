@@ -7,9 +7,7 @@
 //! pre-migration lossy baselines stay reproducible. It is test code:
 //! no production path dispatches to it.
 
-use ami_net::{
-    simulate_lossy_gathering, LossyConfig, LossyReport, RouteCache, RoutingStrategy, Topology,
-};
+use ami_net::{LossyConfig, LossyReport, LossySession, RouteCache, RoutingStrategy, Topology};
 use ami_sim::fault::{FaultSchedule, FaultSpec, FaultTimeline};
 use ami_sim::sim_rng;
 use ami_units::{Energy, Length};
@@ -211,7 +209,7 @@ fn seqstream_oracle_is_deterministic_and_diverges_from_counter_kernel() {
     // The two kernels draw different streams by design; the
     // statistics agree but the exact trajectories must not —
     // if they did, the oracle would not be pinning anything.
-    let counter = simulate_lossy_gathering(&topo(), &config, 100, 9);
+    let counter = LossySession::new(&topo(), &config).run(100, 9);
     assert_eq!(counter.offered, a.offered);
     assert_ne!(
         (a.delivered, a.transmissions),

@@ -7,10 +7,7 @@
 //! each workload is measured as a minimum over several attempts — see
 //! [`steady_allocations`].)
 
-use ami_net::{
-    simulate_gathering, simulate_lossy_gathering, simulate_lossy_gathering_faulted_with,
-    GatherSession, LossyConfig, LossySession, NetworkConfig, RoutingStrategy, Topology,
-};
+use ami_net::{GatherSession, LossyConfig, LossySession, NetworkConfig, RoutingStrategy, Topology};
 use ami_sim::fault::FaultSchedule;
 use ami_sim::obs::NullRecorder;
 use ami_units::Length;
@@ -74,17 +71,17 @@ fn healthy_round_loops_allocate_nothing_per_round() {
 
     // Warm the topology's CSR cache so every measured run starts from
     // the same state (the cache builds once per topology, not per run).
-    let _ = simulate_gathering(&topo, RoutingStrategy::MinimumEnergy, &config, 1);
-    let _ = simulate_lossy_gathering(&topo, &lossy, 1, 3);
+    let _ = GatherSession::new(&topo, RoutingStrategy::MinimumEnergy, &config).run(1);
+    let _ = LossySession::new(&topo, &lossy).run(1, 3);
 
     // Setup and teardown allocate (budgets, scratch buffers, the one
     // route build, the report); the rounds themselves must not, so a
     // 100x longer run costs exactly the same number of allocations.
     let gather_short = steady_allocations(5, || {
-        let _ = simulate_gathering(&topo, RoutingStrategy::MinimumEnergy, &config, 10);
+        let _ = GatherSession::new(&topo, RoutingStrategy::MinimumEnergy, &config).run(10);
     });
     let gather_long = steady_allocations(5, || {
-        let _ = simulate_gathering(&topo, RoutingStrategy::MinimumEnergy, &config, 1000);
+        let _ = GatherSession::new(&topo, RoutingStrategy::MinimumEnergy, &config).run(1000);
     });
     assert_eq!(
         gather_short, gather_long,
@@ -93,10 +90,10 @@ fn healthy_round_loops_allocate_nothing_per_round() {
     assert!(gather_short > 0, "the counter must actually be counting");
 
     let lossy_short = steady_allocations(5, || {
-        let _ = simulate_lossy_gathering(&topo, &lossy, 10, 3);
+        let _ = LossySession::new(&topo, &lossy).run(10, 3);
     });
     let lossy_long = steady_allocations(5, || {
-        let _ = simulate_lossy_gathering(&topo, &lossy, 1000, 3);
+        let _ = LossySession::new(&topo, &lossy).run(1000, 3);
     });
     assert_eq!(
         lossy_short, lossy_long,
@@ -108,9 +105,7 @@ fn healthy_round_loops_allocate_nothing_per_round() {
     // reuse them. The generic entry point runs exactly two regions, so
     // the 80-node fixture really takes both.
     let two_regions = |rounds| {
-        let _ = simulate_lossy_gathering_faulted_with(
-            &topo,
-            &lossy,
+        let _ = LossySession::new(&topo, &lossy).run_regions(
             rounds,
             3,
             &FaultSchedule::empty(),

@@ -11,10 +11,11 @@
 //! attempts — see [`steady_allocations`].)
 
 use ami_net::{
-    simulate_gathering_faulted, simulate_lossy_gathering_faulted, LossyConfig, NetworkConfig,
-    RoutingStrategy, Topology,
+    simulate_lossy_gathering_faulted, GatherSession, LossyConfig, NetworkConfig, RoutingStrategy,
+    Topology,
 };
 use ami_sim::fault::{FaultEvent, FaultSchedule};
+use ami_sim::obs::NullRecorder;
 use ami_units::Length;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -96,21 +97,20 @@ fn faulted_round_loops_allocate_nothing_per_round() {
 
     // Warm the topology's CSR cache so every measured run starts from
     // the same state (the cache builds once per topology, not per run).
-    let _ = simulate_gathering_faulted(&topo, RoutingStrategy::MinimumEnergy, &config, 1, &faults);
+    let _ = GatherSession::new(&topo, RoutingStrategy::MinimumEnergy, &config).run_faulted_with(
+        1,
+        &faults,
+        &mut NullRecorder,
+    );
     let _ = simulate_lossy_gathering_faulted(&topo, &lossy, 1, 3, &faults);
 
     let gather_short = steady_allocations(5, || {
-        let _ =
-            simulate_gathering_faulted(&topo, RoutingStrategy::MinimumEnergy, &config, 10, &faults);
+        let _ = GatherSession::new(&topo, RoutingStrategy::MinimumEnergy, &config)
+            .run_faulted_with(10, &faults, &mut NullRecorder);
     });
     let gather_long = steady_allocations(5, || {
-        let _ = simulate_gathering_faulted(
-            &topo,
-            RoutingStrategy::MinimumEnergy,
-            &config,
-            1000,
-            &faults,
-        );
+        let _ = GatherSession::new(&topo, RoutingStrategy::MinimumEnergy, &config)
+            .run_faulted_with(1000, &faults, &mut NullRecorder);
     });
     assert_eq!(
         gather_short, gather_long,

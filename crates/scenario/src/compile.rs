@@ -42,8 +42,8 @@ use crate::spec::{ScenarioError, ScenarioHash, ScenarioSpec, WorkloadSpec};
 use ami_core::case_studies::cs1::{cs1_energy_ledger, sweep_check_interval, Cs1Config};
 use ami_net::{
     replicate_gathering_faulted_observed_threads, replicate_gathering_observed_threads,
-    simulate_gathering_faulted_observed, simulate_lossy_gathering_faulted,
-    simulate_lossy_gathering_faulted_par, LossyConfig, NetworkConfig, Topology,
+    simulate_gathering_faulted_observed, simulate_lossy_gathering_faulted_par, LossyConfig,
+    NetworkConfig, Topology,
 };
 use ami_radio::StopAndWaitArq;
 use ami_sim::fault::{FaultSchedule, FaultSpec};
@@ -266,26 +266,17 @@ impl CompiledScenario {
                 let empty = FaultSchedule::empty();
                 let schedule = self.schedule.as_ref().unwrap_or(&empty);
                 // The region engine applies its own nodes-per-worker
-                // floor; either path is bit-identical (the counter-RNG
-                // kernel's contract), so this only chooses execution.
-                let report = if threads > 1 {
-                    simulate_lossy_gathering_faulted_par(
-                        topo,
-                        config,
-                        self.spec.rounds,
-                        self.spec.seed,
-                        schedule,
-                        threads,
-                    )
-                } else {
-                    simulate_lossy_gathering_faulted(
-                        topo,
-                        config,
-                        self.spec.rounds,
-                        self.spec.seed,
-                        schedule,
-                    )
-                };
+                // floor (one region at one thread); every region count
+                // is bit-identical (the counter-RNG kernel's contract),
+                // so `threads` only chooses execution.
+                let report = simulate_lossy_gathering_faulted_par(
+                    topo,
+                    config,
+                    self.spec.rounds,
+                    self.spec.seed,
+                    schedule,
+                    threads,
+                );
                 let counters = CounterTree::branch([
                     (
                         "packets",

@@ -6,7 +6,7 @@
 
 use ambience::core::ambient_room;
 use ambience::core::challenges::{audit, report};
-use ambience::net::{simulate_gathering, NetworkConfig, RoutingStrategy, Topology};
+use ambience::net::{GatherSession, NetworkConfig, RoutingStrategy, Topology};
 use ambience::units::Length;
 
 fn main() {
@@ -38,7 +38,7 @@ fn main() {
     println!("\nSimulating the sensor network for one day (1-minute rounds):");
     let field = Topology::random(13, Length::from_meters(60.0), 2003);
     let config = NetworkConfig::sensor_default();
-    let report = simulate_gathering(&field, RoutingStrategy::MinimumEnergy, &config, 24 * 60);
+    let report = GatherSession::new(&field, RoutingStrategy::MinimumEnergy, &config).run(24 * 60);
     println!(
         "  delivered {} reports ({:.1} kbit of ambient information)",
         report.delivered_packets,

@@ -7,7 +7,7 @@ use ambience::core::case_studies::cs2::{run_cs2, Cs2Config};
 use ambience::core::{ambient_room, AmbientDevice, EnergySource};
 use ambience::dvs::{simulate_taskset, DvsPolicy, TaskSet};
 use ambience::energy::{Battery, BatteryModel, Chemistry};
-use ambience::net::{simulate_gathering, NetworkConfig, RoutingStrategy, Topology};
+use ambience::net::{GatherSession, NetworkConfig, RoutingStrategy, Topology};
 use ambience::power::{DeviceKind, PowerClass};
 use ambience::tech::TechnologyNode;
 use ambience::units::{ComputeRate, DataRate, Energy, Length, Power, TimeSpan};
@@ -23,7 +23,7 @@ fn cs1_budget_feeds_network_simulation_consistently() {
     config.node_energy = Energy::from_joules(100.0);
     let topo = Topology::grid(3, Length::from_meters(20.0));
     let rounds = 7 * 24 * 60; // one week of 1-minute rounds
-    let report = simulate_gathering(&topo, RoutingStrategy::MinimumEnergy, &config, rounds);
+    let report = GatherSession::new(&topo, RoutingStrategy::MinimumEnergy, &config).run(rounds);
     assert!(report.first_death_round.is_none(), "{report:?}");
     assert_eq!(report.delivered_packets, rounds * 8);
 }

@@ -9,13 +9,10 @@ use ambience::core::design_space::{explore_cs1_threads, DesignCell};
 use ambience::dvs::{simulate_taskset, DvsPolicy, TaskSet};
 use ambience::net::{
     replicate_gathering_faulted_observed_threads, replicate_gathering_observed_threads,
-    replicate_gathering_threads,
-};
-use ambience::net::{
-    simulate_clustered, simulate_gathering, ClusterConfig, NetworkConfig, RoutingStrategy, Topology,
+    simulate_clustered, ClusterConfig, GatherSession, NetworkConfig, RoutingStrategy, Topology,
 };
 use ambience::radio::RadioEnergyModel;
-use ambience::sim::fault::FaultSpec;
+use ambience::sim::fault::{FaultSchedule, FaultSpec};
 use ambience::sim::{replicate, replicate_all, replicate_all_par_threads, replicate_par_threads};
 use ambience::tech::{TechnologyNode, VariationModel};
 use ambience::units::{Area, Energy, Frequency, Length, Power, Temperature, TimeSpan};
@@ -24,8 +21,8 @@ use ambience::units::{Area, Energy, Frequency, Length, Power, Temperature, TimeS
 fn gathering_simulation_is_bit_exact() {
     let topo = Topology::random(25, Length::from_meters(100.0), 99);
     let config = NetworkConfig::sensor_default();
-    let a = simulate_gathering(&topo, RoutingStrategy::MinimumEnergy, &config, 200);
-    let b = simulate_gathering(&topo, RoutingStrategy::MinimumEnergy, &config, 200);
+    let a = GatherSession::new(&topo, RoutingStrategy::MinimumEnergy, &config).run(200);
+    let b = GatherSession::new(&topo, RoutingStrategy::MinimumEnergy, &config).run(200);
     assert_eq!(a, b);
 }
 
@@ -213,18 +210,29 @@ fn parallel_design_space_is_bit_exact_with_serial() {
 fn parallel_gathering_replication_is_bit_exact_with_serial() {
     let config = NetworkConfig::sensor_default();
     let field = |seed| Topology::random(15, Length::from_meters(90.0), seed);
-    let serial =
-        replicate_gathering_threads(1, 12, 7, field, RoutingStrategy::MinimumEnergy, &config, 50);
+    let serial = replicate_gathering_faulted_observed_threads(
+        1,
+        12,
+        7,
+        field,
+        |_| FaultSchedule::empty(),
+        RoutingStrategy::MinimumEnergy,
+        &config,
+        50,
+    )
+    .0;
     for threads in [2usize, 8] {
-        let parallel = replicate_gathering_threads(
+        let parallel = replicate_gathering_faulted_observed_threads(
             threads,
             12,
             7,
             field,
+            |_| FaultSchedule::empty(),
             RoutingStrategy::MinimumEnergy,
             &config,
             50,
-        );
+        )
+        .0;
         assert_eq!(serial, parallel, "threads = {threads}");
     }
 }

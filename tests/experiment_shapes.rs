@@ -9,7 +9,7 @@ use ambience::core::case_studies::cs3::{best_format, Cs3Config};
 use ambience::core::class_characteristics;
 use ambience::dvs::DvsPolicy;
 use ambience::energy::{Battery, BatteryModel, Chemistry};
-use ambience::net::{simulate_gathering, NetworkConfig, RoutingStrategy, Topology};
+use ambience::net::{GatherSession, NetworkConfig, RoutingStrategy, Topology};
 use ambience::power::{portfolio_2003, PowerClass};
 use ambience::radio::{
     CsmaMac, MacProtocol, PreambleSamplingMac, RadioPowerStates, TdmaMac, TrafficLoad,
@@ -152,8 +152,8 @@ fn f6_multihop_saving_grows() {
     config.idle_power = Power::ZERO;
     let saving = |side: usize| {
         let topo = Topology::grid(side, Length::from_meters(30.0));
-        let direct = simulate_gathering(&topo, RoutingStrategy::DirectToSink, &config, 200);
-        let multi = simulate_gathering(&topo, RoutingStrategy::MinimumEnergy, &config, 200);
+        let direct = GatherSession::new(&topo, RoutingStrategy::DirectToSink, &config).run(200);
+        let multi = GatherSession::new(&topo, RoutingStrategy::MinimumEnergy, &config).run(200);
         direct.total_energy.as_joules() / multi.total_energy.as_joules()
     };
     let small = saving(3);
@@ -266,8 +266,9 @@ fn a3_storage_knee() {
 #[test]
 fn f15_city_scale_repairs_match_the_oracle() {
     use ambience::net::routing::{route_build_count, route_repair_count, set_route_repair_enabled};
-    use ambience::net::{simulate_gathering_faulted, CsrAdjacency};
+    use ambience::net::{CsrAdjacency, GatherSession};
     use ambience::sim::fault::FaultSpec;
+    use ambience::sim::obs::NullRecorder;
 
     let n = 400;
     let topo = Topology::random(n, Length::from_meters(25.0 * (n as f64).sqrt()), 2003);
@@ -284,12 +285,12 @@ fn f15_city_scale_repairs_match_the_oracle() {
         .unwrap()
         .schedule_for(2003, n, 30);
     let was_enabled = set_route_repair_enabled(false);
-    let oracle =
-        simulate_gathering_faulted(&topo, RoutingStrategy::MinimumEnergy, &config, 30, &faults);
+    let oracle = GatherSession::new(&topo, RoutingStrategy::MinimumEnergy, &config)
+        .run_faulted_with(30, &faults, &mut NullRecorder);
     set_route_repair_enabled(true);
     let (builds, repairs) = (route_build_count(), route_repair_count());
-    let repaired =
-        simulate_gathering_faulted(&topo, RoutingStrategy::MinimumEnergy, &config, 30, &faults);
+    let repaired = GatherSession::new(&topo, RoutingStrategy::MinimumEnergy, &config)
+        .run_faulted_with(30, &faults, &mut NullRecorder);
     set_route_repair_enabled(was_enabled);
     assert_eq!(repaired, oracle, "repairs must not change the physics");
     assert_eq!(

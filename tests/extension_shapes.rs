@@ -8,7 +8,7 @@ use ambience::dvs::{
     simulate_taskset, simulate_taskset_with_levels, DvsPolicy, FrequencyLadder, TaskSet,
 };
 use ambience::net::{
-    analyze_aggregation, simulate_clustered, simulate_gathering, ClusterConfig, NetworkConfig,
+    analyze_aggregation, simulate_clustered, ClusterConfig, GatherSession, NetworkConfig,
     RoutingStrategy, Topology,
 };
 use ambience::radio::{
@@ -77,7 +77,7 @@ fn f11_clustering_beats_tree_on_lifetime() {
     let mut tree_config = NetworkConfig::sensor_default();
     tree_config.idle_power = Power::ZERO;
     tree_config.node_energy = budget;
-    let tree = simulate_gathering(&topo, RoutingStrategy::MinimumEnergy, &tree_config, 20_000);
+    let tree = GatherSession::new(&topo, RoutingStrategy::MinimumEnergy, &tree_config).run(20_000);
     let clustered = simulate_clustered(&topo, &radio, &ClusterConfig::classic(), budget, 20_000, 7);
     let tree_death = tree.first_death_round.expect("tree must die");
     let cluster_death = clustered.first_death_round.expect("cluster must die");
